@@ -37,7 +37,6 @@ from .variational import (
     LagrangeSystem,
     build_certificate,
     conjugate_scan,
-    jacobi_coeffs,
     lambda_for_circle,
 )
 from . import fd
@@ -102,7 +101,7 @@ def _fmt(x: float) -> str:
 
 
 def _csv_text(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
-    lines = ["# config " + json.dumps(cfg.echo(), sort_keys=True)]
+    lines = ["# config " + json.dumps(cfg.echo(), sort_keys=True, allow_nan=False)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
@@ -122,7 +121,7 @@ def cmd_certificate(cfg: RunConfig) -> int:
         scan_steps=cfg.scan_steps,
     )
     doc = {"config": cfg.echo(), **cert.to_json_dict()}
-    _emit(cfg, json.dumps(doc, indent=2) + "\n")
+    _emit(cfg, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if cert.passed else 1
 
 
@@ -145,21 +144,20 @@ def cmd_conjugate(cfg: RunConfig) -> int:
     rc = RandersConfig(cfg.b, cfg.form)
     circle = Circle(cfg.a)
     system = LagrangeSystem(lambda_for_circle(cfg.a, rc), rc)
-    coeffs = jacobi_coeffs(circle, system)
     report = conjugate_scan(
         circle, system, scan_points=cfg.scan_points, n_steps=cfg.scan_steps
     )
     doc = {
         "config": cfg.echo(),
         "lambda": system.lam,
-        "jacobi": {"h1": coeffs.h1, "h2": coeffs.h2, "K": coeffs.K, "U": coeffs.U},
+        "jacobi": dataclasses.asdict(report.coeffs),
         "zero_crossing": report.zero_crossing,
         "min_abs_D": report.min_abs_D,
         "step_halving": report.step_halving,
         "c_values": report.c_values.tolist(),
         "D_values": report.D_values.tolist(),
     }
-    _emit(cfg, json.dumps(doc, indent=2) + "\n")
+    _emit(cfg, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if not report.zero_crossing else 1
 
 
@@ -203,7 +201,7 @@ def cmd_check_metric(cfg: RunConfig) -> int:
         "yasuda_shimada_note": ys_note,
         "pass": bool(norm_ok and grad_ok and ys_ok),
     }
-    _emit(cfg, json.dumps(doc, indent=2) + "\n")
+    _emit(cfg, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if doc["pass"] else 1
 
 

@@ -255,6 +255,8 @@ def jacobi_coeffs(
 
     The rate d/dt K is taken with a wide 4th-order stencil (offsets up to
     2*rate_step), so t should sit away from the chart edge by that much.
+    The position step is capped at a quarter of the rim distance 1 - a, so the
+    4th-order stencils (offsets up to twice the step) stay inside the disc.
     """
     if abs(math.cos(t)) < _CHART_COS_MIN:
         raise ChartSingularityError(
@@ -263,8 +265,8 @@ def jacobi_coeffs(
     a = circle.a
     kap, lam = system.kappa, system.lam
     hv = hess_rel_step * a
-    hx = mixed_step
-    hvm = mixed_step * a
+    hx = min(mixed_step, 0.25 * (1.0 - a))
+    hvm = hx * a
 
     def kinematics(tau: float):
         x1, x2 = a * math.cos(tau), a * math.sin(tau)
@@ -311,6 +313,7 @@ def jacobi_coeffs(
 
 @dataclasses.dataclass(frozen=True)
 class ConjugateScanReport:
+    coeffs: JacobiCoefficients   # at t = 0, the coefficients the scan integrates
     c_values: np.ndarray
     D_values: np.ndarray
     zero_crossing: bool
@@ -321,44 +324,34 @@ class ConjugateScanReport:
 def _rk4_determinants(h1: float, h2: float, U: float, n_steps: int, stride: int) -> np.ndarray:
     """Classical RK4 on the three fundamental Jacobi solutions.
 
-    State per solution: (y, y', z) with y'' = (h2 y + mu U)/h1, z' = U y and
-    initial data theta1=(1,0), theta2=(0,1), theta3=(0,0) with mu = (0,0,1).
+    State per solution: (y, y', z, 1) with y'' = (h2 y + mu U)/h1, z' = U y and
+    initial data theta1=(1,0), theta2=(0,1), theta3=(0,0) with mu = (0,0,1);
+    the constant last slot carries the multiplier forcing.  The system is
+    linear with constant coefficients, so one RK4 step of size H is exactly
+    multiplication by R(HA) = I + HA + (HA)^2/2 + (HA)^3/6 + (HA)^4/24.
     Returns D at every stride-th node from step 1 to n_steps, where
     D(c) = theta2(c) z3(c) - theta3(c) z2(c) (the 3x3 determinant with the
     initial-condition row reduced out).
     """
-    H = TWO_PI / n_steps
-    c1 = h2 / h1
-    forcing = (0.0, 0.0, U / h1)
-    y = [1.0, 0.0, 0.0]
-    yp = [0.0, 1.0, 0.0]
-    z = [0.0, 0.0, 0.0]
-    out = []
-    for k in range(1, n_steps + 1):
-        for j in range(3):
-            fj = forcing[j]
-            yj, pj, zj = y[j], yp[j], z[j]
-            k1y = pj
-            k1p = c1 * yj + fj
-            k1z = U * yj
-            y2_ = yj + 0.5 * H * k1y
-            k2y = pj + 0.5 * H * k1p
-            k2p = c1 * y2_ + fj
-            k2z = U * y2_
-            y3_ = yj + 0.5 * H * k2y
-            k3y = pj + 0.5 * H * k2p
-            k3p = c1 * y3_ + fj
-            k3z = U * y3_
-            y4_ = yj + H * k3y
-            k4y = pj + H * k3p
-            k4p = c1 * y4_ + fj
-            k4z = U * y4_
-            y[j] = yj + (H / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            yp[j] = pj + (H / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            z[j] = zj + (H / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        if k % stride == 0:
-            out.append(y[1] * z[2] - y[2] * z[1])
-    return np.array(out)
+    HA = (TWO_PI / n_steps) * np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [h2 / h1, 0.0, 0.0, U / h1],
+            [U, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    eye = np.eye(4)
+    R = eye
+    for k in (4.0, 3.0, 2.0, 1.0):
+        R = eye + (HA @ R) / k
+    step = np.linalg.matrix_power(R, stride)
+    X = eye[:, [0, 1, 3]]
+    out = np.empty(n_steps // stride)
+    for i in range(out.size):
+        X = step @ X
+        out[i] = X[0, 1] * X[2, 2] - X[0, 2] * X[2, 1]
+    return out
 
 
 def conjugate_scan(
@@ -380,13 +373,20 @@ def conjugate_scan(
         raise DomainError("scan_points must divide n_steps")
     coeffs = jacobi_coeffs(circle, system, 0.0)
     check = jacobi_coeffs(circle, system, math.pi)
-    if abs(check.h1 - coeffs.h1) > 1e-4 * abs(coeffs.h1):
-        raise NumericalError("Jacobi coefficients are not constant along the circle")
+    for name in ("h1", "h2", "U"):
+        value = getattr(coeffs, name)
+        if not math.isfinite(value):
+            raise NumericalError(f"Jacobi coefficient {name} = {value} is not finite")
+        # written so that a NaN at t = pi fails the check too
+        if not abs(getattr(check, name) - value) <= 1e-4 * abs(value):
+            raise NumericalError(f"Jacobi coefficient {name} is not constant along the circle")
 
     stride = n_steps // scan_points
     cs = TWO_PI * np.arange(1, scan_points + 1) / scan_points
     Ds = _rk4_determinants(coeffs.h1, coeffs.h2, coeffs.U, n_steps, stride)
     Ds_half = _rk4_determinants(coeffs.h1, coeffs.h2, coeffs.U, 2 * n_steps, 2 * stride)
+    if not (np.all(np.isfinite(Ds)) and np.all(np.isfinite(Ds_half))):
+        raise NumericalError("conjugate scan produced non-finite determinants")
     scale = float(np.max(np.abs(Ds)))
     if scale == 0.0:
         raise NumericalError("degenerate scan: D vanishes identically")
@@ -403,6 +403,7 @@ def conjugate_scan(
     min_abs = float(gapped.min())
     small = bool(np.any(gapped < zero_rel_tol * scale))
     return ConjugateScanReport(
+        coeffs=coeffs,
         c_values=cs,
         D_values=Ds,
         zero_crossing=sign_change or small,

@@ -10,7 +10,6 @@ import pytest
 
 from randers_disc import (
     Circle,
-    FundamentalTensor,
     LagrangeSystem,
     PerturbationSpec,
     PolarFourierCurve,
@@ -24,6 +23,8 @@ from randers_disc import (
     conjugate_scan,
     constraint_vector,
     el_residual,
+    finsler_norm,
+    fundamental_tensor,
     h1_along,
     hessian_blocks,
     isoperimetric_deficit,
@@ -65,10 +66,15 @@ def test_criterion_01_drift_norm_constancy():
     points = disc_grid()
     assert len(points) == 200
     worst = 0.0
+    worst_contract = 0.0
     for b in (0.1, 0.5, 0.9):
         cfg = RandersConfig(b)
         for p in points:
-            g = FundamentalTensor(tuple(p), (-p[1], p[0]), cfg)
+            # the fundamental tensor contracts any direction back to F^2
+            for v in ((1.0, 0.0), (0.0, 1.0), (-p[1], p[0])):
+                F = finsler_norm(p, v, cfg)
+                err = abs(fundamental_tensor(p, v, cfg).contract(v) - F * F) / (F * F)
+                worst_contract = max(worst_contract, err)
             # a^{ij} b_i b_j for the Riemannian part: beta has alpha-norm b,
             # so the contraction against the inverse metric must return b^2
             s = 1.0 - float(p @ p)
@@ -76,7 +82,12 @@ def test_criterion_01_drift_norm_constancy():
             a_inv = (s * s / 4.0) * np.eye(2)
             worst = max(worst, abs(float(beta @ a_inv @ beta) - b * b))
     assert worst <= 1e-12
-    report(1, "drift norm constancy", f"max |a^ij b_i b_j - b^2| = {worst:.3e}")
+    assert worst_contract <= 1e-6
+    report(
+        1,
+        "drift norm constancy",
+        f"max |a^ij b_i b_j - b^2| = {worst:.3e}, max rel |g(v,v) - F^2| = {worst_contract:.3e}",
+    )
 
 
 def test_criterion_02_length_is_drift_independent():

@@ -183,6 +183,20 @@ def test_conjugate_schema(tmp_path):
     assert len(doc["D_values"]) == 256
 
 
+def test_conjugate_near_rim_writes_finite_json(tmp_path):
+    rc, out = run(
+        ["conjugate", "--a", "0.99", "--b", "0", "--form", "bh"], tmp_path, "rim.json"
+    )
+    assert rc == 0
+
+    def reject(token):
+        raise AssertionError(f"non-finite token {token} in the document")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    validate(doc, "conjugate.schema.json")
+    assert doc["zero_crossing"] is False
+
+
 # -- deficit sweep ------------------------------------------------------------
 
 def test_deficit_sweep_matches_closed_forms(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -331,18 +332,42 @@ def test_conjugate_scan_consistency_guard(circle_half, system_half, monkeypatch)
         conjugate_scan(circle_half, system_half)
 
 
-def test_conjugate_scan_constancy_guard(circle_half, system_half, monkeypatch):
+@pytest.mark.parametrize(
+    "t_bad, field, factor",
+    [
+        (math.pi, "h1", 1.01),
+        (math.pi, "h2", 1.01),
+        (math.pi, "U", 1.01),
+        (0.0, "U", math.nan),
+    ],
+    ids=["h1-drift", "h2-drift", "U-drift", "U-nan"],
+)
+def test_conjugate_scan_constancy_guard(circle_half, system_half, monkeypatch, t_bad, field, factor):
     real = variational.jacobi_coeffs
 
     def drifting(circle, system, t=0.0, **kw):
         J = real(circle, system, t, **kw)
-        if t != 0.0:
-            return variational.JacobiCoefficients(J.h1 * 1.01, J.h2, J.K, J.U)
+        if t == t_bad:
+            return dataclasses.replace(J, **{field: getattr(J, field) * factor})
         return J
 
     monkeypatch.setattr(variational, "jacobi_coeffs", drifting)
     with pytest.raises(NumericalError):
         conjugate_scan(circle_half, system_half)
+
+
+@pytest.mark.parametrize("a", [0.99, 0.995])
+@pytest.mark.parametrize("b", [0.0, 0.99])
+def test_rim_jacobi_coeffs_finite_and_scan_checked(a, b):
+    # the 4th-order position stencils reach twice the step from the circle, so
+    # near the rim an uncapped step leaves the disc and every D becomes NaN
+    cfg = RandersConfig(b)
+    system = LagrangeSystem(lambda_for_circle(a, cfg), cfg)
+    J = jacobi_coeffs(Circle(a), system)
+    assert all(math.isfinite(x) for x in (J.h1, J.h2, J.K, J.U))
+    cert = build_certificate(a, cfg)
+    assert math.isfinite(cert.conjugate.min_abs_D)
+    assert cert.conjugate.zero_crossing is False
 
 
 # -- second variation ---------------------------------------------------------
