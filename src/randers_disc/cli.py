@@ -19,17 +19,7 @@ import numpy as np
 
 from .config import RandersConfig, VolumeForm
 from .curves import Circle
-from .errors import (
-    AdmissibilityError,
-    BracketingError,
-    ChartSingularityError,
-    DomainError,
-    ExhaustionError,
-    IntegrationError,
-    NumericalError,
-    ProjectionError,
-    QuadratureError,
-)
+from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid, area, length
 from .isoperimetry import PerturbationSpec, deficit_value, run_trials
 from .metric import beta_covector, disc_grid, potential, yasuda_shimada_residual
@@ -48,7 +38,11 @@ _GRAD_TOL = 1e-8       # potential-gradient mismatch allowed (central difference
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Parsed flags; defaults mirror the module defaults."""
+    """Parsed flags.
+
+    These field defaults are the only copy of the CLI defaults: argparse
+    leaves an unset flag at None, and main drops None values.
+    """
 
     command: str
     a: float = 0.5
@@ -240,19 +234,18 @@ _DISPATCH = {
 
 def _add_common(sp: argparse.ArgumentParser, *, need_a: bool, need_form: bool) -> None:
     if need_a:
-        sp.add_argument("--a", type=float, default=0.5, help="circle radius in (0, 1)")
-    sp.add_argument("--b", type=float, default=0.0, help="drift strength, 0 <= b < 1")
+        sp.add_argument("--a", type=float, help="circle radius in (0, 1)")
+    sp.add_argument("--b", type=float, help="drift strength, 0 <= b < 1")
     sp.add_argument(
         "--form",
         choices=[f.value for f in VolumeForm],
         required=need_form,
-        default=None if need_form else "bh",
         help="volume form",
     )
-    sp.add_argument("--n", type=int, default=1024, help="quadrature nodes (power of two >= 256)")
-    sp.add_argument("--tol", type=float, default=1e-6, help="verification tolerance")
-    sp.add_argument("--seed", type=int, default=42, help="random seed")
-    sp.add_argument("--output", type=str, default=None, help="write the report to this path")
+    sp.add_argument("--n", type=int, help="quadrature nodes (power of two >= 256)")
+    sp.add_argument("--tol", type=float, help="verification tolerance")
+    sp.add_argument("--seed", type=int, help="random seed")
+    sp.add_argument("--output", type=str, help="write the report to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,29 +257,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certificate", help="run all sufficiency checks for one circle")
     _add_common(sp, need_a=True, need_form=True)
-    sp.add_argument("--probes", type=int, default=50, help="random second-variation probes")
-    sp.add_argument("--scan-points", type=int, default=512, help="conjugate scan sample count")
-    sp.add_argument("--scan-steps", type=int, default=4096, help="conjugate scan ODE steps")
+    sp.add_argument("--probes", type=int, help="random second-variation probes")
+    sp.add_argument("--scan-points", type=int, help="conjugate scan sample count")
+    sp.add_argument("--scan-steps", type=int, help="conjugate scan ODE steps")
 
     sp = sub.add_parser("perturb", help="length-matched perturbation trials")
     _add_common(sp, need_a=True, need_form=True)
-    sp.add_argument("--trials", type=int, default=200, help="number of perturbations")
-    sp.add_argument("--epsilon", type=float, default=0.05, help="coefficient scale")
-    sp.add_argument("--harmonics", type=int, default=4, help="max perturbation harmonic")
+    sp.add_argument("--trials", type=int, help="number of perturbations")
+    sp.add_argument("--epsilon", type=float, help="coefficient scale")
+    sp.add_argument("--harmonics", type=int, help="max perturbation harmonic")
 
     sp = sub.add_parser("conjugate", help="Jacobi determinant scan over one period")
     _add_common(sp, need_a=True, need_form=True)
-    sp.add_argument("--scan-points", type=int, default=512, help="conjugate scan sample count")
-    sp.add_argument("--scan-steps", type=int, default=4096, help="conjugate scan ODE steps")
+    sp.add_argument("--scan-points", type=int, help="conjugate scan sample count")
+    sp.add_argument("--scan-steps", type=int, help="conjugate scan ODE steps")
 
     sp = sub.add_parser("check-metric", help="drift norm, potential gradient, flag-curvature residual")
     _add_common(sp, need_a=False, need_form=False)
 
     sp = sub.add_parser("deficit-sweep", help="isoperimetric deficit of circles over a radius grid")
     _add_common(sp, need_a=False, need_form=False)
-    sp.add_argument("--a-min", type=float, default=0.1, help="sweep start radius")
-    sp.add_argument("--a-max", type=float, default=0.9, help="sweep end radius")
-    sp.add_argument("--a-count", type=int, default=9, help="sweep point count")
+    sp.add_argument("--a-min", type=float, help="sweep start radius")
+    sp.add_argument("--a-max", type=float, help="sweep end radius")
+    sp.add_argument("--a-count", type=int, help="sweep point count")
 
     return parser
 
@@ -297,23 +290,14 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    kwargs = {k: v for k, v in vars(ns).items() if v is not None or k == "output"}
+    kwargs = {k: v for k, v in vars(ns).items() if v is not None}
     try:
         cfg = RunConfig(**kwargs)
         return _DISPATCH[cfg.command](cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        AdmissibilityError,
-        BracketingError,
-        ChartSingularityError,
-        ExhaustionError,
-        IntegrationError,
-        NumericalError,
-        ProjectionError,
-        QuadratureError,
-    ) as exc:
+    except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

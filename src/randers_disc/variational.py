@@ -28,6 +28,7 @@ from .errors import (
     IntegrationError,
     NumericalError,
     ProjectionError,
+    VerificationError,
 )
 from .functionals import QuadratureGrid
 from . import fd
@@ -368,9 +369,10 @@ def conjugate_scan(
     D vanishes exactly at c = 2*pi (the rotation-neutral Jacobi field), and to
     fourth order at the scan start, so the |D| floor is only applied min_gap
     away from both ends; sign changes are checked on all interior pairs.
+    A single scan point is c = 2*pi itself, so at least two are required.
     """
-    if n_steps % scan_points != 0:
-        raise DomainError("scan_points must divide n_steps")
+    if not (2 <= scan_points <= n_steps and n_steps % scan_points == 0):
+        raise DomainError(f"need 2 <= scan_points <= n_steps, dividing it; got {scan_points} and {n_steps}")
     coeffs = jacobi_coeffs(circle, system, 0.0)
     check = jacobi_coeffs(circle, system, math.pi)
     for name in ("h1", "h2", "U"):
@@ -680,83 +682,67 @@ def build_certificate(
     t_samples: int = 64,
     lambda_override: float | None = None,
 ) -> ExtremalityCertificate:
-    """Run all five sufficiency checks for the circle of radius a."""
+    """Run all five sufficiency checks for the circle of radius a.
+
+    A check whose numerics fail (a VerificationError) is recorded as failed,
+    with a note and a NaN field; any other exception propagates.
+    """
+    if n_probes < 1 or t_samples < 1:
+        raise DomainError(f"need n_probes >= 1 and t_samples >= 1, got {n_probes} and {t_samples}")
     circle = Circle(a)
     lam = lambda_for_circle(a, cfg) if lambda_override is None else float(lambda_override)
     system = LagrangeSystem(lam, cfg)
     notes = ["second variation probed on a finite trigonometric basis (harmonics <= 6)"]
     if lambda_override is not None:
         notes.append(f"lambda overridden to {lam}")
-    ts = np.linspace(0.0, TWO_PI, t_samples, endpoint=False)
+    ts = np.linspace(0.0, TWO_PI, t_samples, endpoint=False).tolist()
+    samples = [(t, circle.eval(t)) for t in ts[:: max(1, t_samples // 16)]]
 
-    el_max = normality_min = weier_max = h1_val = hess_max = sv_max = math.nan
-    conj = None
-    ok = {}
+    def guarded(name: str, check, failed=math.nan):
+        try:
+            return check()
+        except VerificationError as exc:
+            notes.append(f"{name} failed: {exc}")
+            return failed
 
-    try:
-        el_max = max(abs(el_residual(circle, system, float(t))) for t in ts)
-        ok["euler_lagrange"] = el_max <= tol
-    except Exception as exc:  # aggregate into the certificate
-        notes.append(f"euler_lagrange failed: {exc}")
-        ok["euler_lagrange"] = False
+    def h1_check() -> float:
+        value = h1_along(circle, system, 0.0)
+        if not value < 0.0:
+            notes.append(f"h1 = {value} is not negative (corroboration only)")
+        return value
 
-    try:
-        normality_min = min(math.hypot(*normality(circle, cfg, float(t))) for t in ts)
-        ok["normality"] = normality_min > tol
-    except Exception as exc:
-        notes.append(f"normality failed: {exc}")
-        ok["normality"] = False
-
-    try:
-        weier_max = -math.inf
-        for t in ts[:: max(1, t_samples // 16)]:
-            sample = circle.eval(float(t))
-            for u in _direction_samples(sample.velocity):
-                weier_max = max(weier_max, weierstrass_E(sample.point, sample.velocity, u, system))
-        ok["weierstrass"] = weier_max < 0.0
-    except Exception as exc:
-        notes.append(f"weierstrass failed: {exc}")
-        ok["weierstrass"] = False
-
-    try:
-        h1_val = h1_along(circle, system, 0.0)
-        if not h1_val < 0.0:
-            notes.append(f"h1 = {h1_val} is not negative (corroboration only)")
-    except Exception as exc:
-        notes.append(f"h1 failed: {exc}")
-
-    try:
-        hess_max = -math.inf
-        for t in ts[:: max(1, t_samples // 16)]:
-            sample = circle.eval(float(t))
-            for y in _direction_samples(sample.velocity, magnitudes=(1.0,)):
-                hess_max = max(hess_max, hessian_velocity_form(circle, system, float(t), y))
-        ok["hessian_form"] = hess_max < 0.0
-    except Exception as exc:
-        notes.append(f"hessian_form failed: {exc}")
-        ok["hessian_form"] = False
-
-    try:
-        conj = conjugate_scan(circle, system, scan_points=scan_points, n_steps=scan_steps)
-        no_conjugate = not conj.zero_crossing
-    except Exception as exc:
-        notes.append(f"conjugate scan failed: {exc}")
-        no_conjugate = False
-
-    try:
+    def probe_max() -> float:
         nodes, _ = _variation_nodes(grid.n)
         blocks = hessian_blocks(a, system.kappa, lam, nodes)
         ell = constraint_vector(circle, n=grid.n)
         rng = np.random.default_rng(probe_seed)
-        sv_max = -math.inf
-        for _ in range(n_probes):
-            probe = project_probe(circle, VariationProbe.random(rng), n=grid.n, ell=ell)
-            sv_max = max(sv_max, second_variation(circle, system, probe, n=grid.n, blocks=blocks))
-        ok["second_variation"] = sv_max < 0.0 and no_conjugate
-    except Exception as exc:
-        notes.append(f"second variation failed: {exc}")
-        ok["second_variation"] = False
+        probes = (project_probe(circle, VariationProbe.random(rng), n=grid.n, ell=ell) for _ in range(n_probes))
+        return float(np.max([second_variation(circle, system, p, n=grid.n, blocks=blocks) for p in probes]))
 
+    # np.max/np.min propagate a NaN sample, so it fails its comparison below
+    el_max = guarded("euler_lagrange", lambda: float(np.max([abs(el_residual(circle, system, t)) for t in ts])))
+    normality_min = guarded(
+        "normality", lambda: float(np.min([math.hypot(*normality(circle, cfg, t)) for t in ts]))
+    )
+    weier_max = guarded("weierstrass", lambda: float(np.max([
+        weierstrass_E(sample.point, sample.velocity, u, system)
+        for _, sample in samples for u in _direction_samples(sample.velocity)
+    ])))
+    h1_val = guarded("h1", h1_check)
+    hess_max = guarded("hessian_form", lambda: float(np.max([
+        hessian_velocity_form(circle, system, t, y)
+        for t, sample in samples for y in _direction_samples(sample.velocity, magnitudes=(1.0,))
+    ])))
+    conj = guarded("conjugate scan", lambda: conjugate_scan(circle, system, scan_points, scan_steps), None)
+    sv_max = guarded("second variation", probe_max)
+
+    ok = {
+        "euler_lagrange": el_max <= tol,
+        "normality": normality_min > tol,
+        "weierstrass": weier_max < 0.0,
+        "hessian_form": hess_max < 0.0,
+        "second_variation": sv_max < 0.0 and conj is not None and not conj.zero_crossing,
+    }
     passed = all(ok.values())
     for name, good in ok.items():
         if not good:

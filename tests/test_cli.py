@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 from referencing import Registry, Resource
 
-from randers_disc import RandersConfig, circle_closed_forms
+from randers_disc import DomainError, RandersConfig, VerificationError, circle_closed_forms, cli, errors
 from randers_disc.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -67,6 +68,40 @@ def test_sweep_range_validation(capsys, tmp_path):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "--probes", "0"],
+        ["certificate", "--scan-points", "500"],
+        ["certificate", "--scan-steps", "0"],
+        ["conjugate", "--scan-points", "0"],
+    ],
+    ids=["probes-0", "scan-points-500", "scan-steps-0", "conjugate-scan-points-0"],
+)
+def test_vacuous_sizes_are_usage_errors(argv, capsys, tmp_path):
+    rc, out = run(argv[:1] + ["--a", "0.5", "--b", "0.3", "--form", "bh"] + argv[1:], tmp_path)
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+ERROR_CLASSES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_sets_exit_code(cls, capsys, monkeypatch):
+    assert issubclass(cls, (DomainError, VerificationError))
+
+    def raising(cfg):
+        raise cls("injected")
+
+    monkeypatch.setitem(cli._DISPATCH, "check-metric", raising)
+    assert main(["check-metric"]) == (2 if issubclass(cls, DomainError) else 1)
+    assert capsys.readouterr().err == "error: injected\n"
 
 
 # -- certificate --------------------------------------------------------------

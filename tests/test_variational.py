@@ -306,9 +306,10 @@ def test_conjugate_scan_matches_analytic_law(circle_half, system_half):
     assert abs(rep.D_values[-1]) <= 1e-6 * scale
 
 
-def test_conjugate_scan_point_validation(circle_half, system_half):
+@pytest.mark.parametrize("scan_points, n_steps", [(500, 4096), (0, 4096), (1, 4096), (512, 0)])
+def test_conjugate_scan_point_validation(circle_half, system_half, scan_points, n_steps):
     with pytest.raises(DomainError):
-        conjugate_scan(circle_half, system_half, scan_points=500)
+        conjugate_scan(circle_half, system_half, scan_points=scan_points, n_steps=n_steps)
 
 
 def test_rk4_detects_true_crossings():
@@ -446,6 +447,38 @@ def test_certificate_fails_with_overridden_multiplier(cfg_bh):
     assert cert.weierstrass_max > 0.0  # the excess is odd in lambda
     assert any("overridden" in n for n in cert.notes)
     assert any("condition failed" in n for n in cert.notes)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_probes": 0}, {"t_samples": 0}], ids=["n_probes-0", "t_samples-0"])
+def test_certificate_rejects_vacuous_sizes(cfg_bh, kwargs):
+    with pytest.raises(DomainError):
+        build_certificate(0.5, cfg_bh, **kwargs)
+
+
+def test_certificate_propagates_programming_errors(cfg_bh, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in hessian_blocks")
+
+    monkeypatch.setattr(variational, "hessian_blocks", broken)
+    with pytest.raises(TypeError, match="bug in hessian_blocks"):
+        build_certificate(0.5, cfg_bh)
+
+
+def test_certificate_nan_weierstrass_sample_fails(cfg_bh, monkeypatch):
+    calls = {"n": 0}
+    real = variational.weierstrass_E
+
+    def one_nan(*args, **kwargs):
+        calls["n"] += 1
+        return math.nan if calls["n"] == 7 else real(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "weierstrass_E", one_nan)
+    cert = build_certificate(0.5, cfg_bh)
+    assert calls["n"] > 7
+    assert not cert.passed
+    assert math.isnan(cert.weierstrass_max)
+    assert cert.to_json_dict()["weierstrass_max"] is None
+    assert "condition failed: weierstrass" in cert.notes
 
 
 def test_certificate_json_shape(cfg_bh):
