@@ -62,6 +62,11 @@ class RunConfig:
     a_count: int = 9
     output: str | None = None
 
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
     def echo(self) -> dict:
         # the output path plays no part in the computation; leaving it out
         # keeps reruns byte-identical regardless of where they are written

@@ -30,35 +30,25 @@ class CurveSample:
 
 
 class _PolarCurve:
-    """Shared evaluation path; subclasses provide r(t) and r'(t)."""
-
-    def radius(self, t: float) -> float:
-        raise NotImplementedError
-
-    def radius_dot(self, t: float) -> float:
-        raise NotImplementedError
+    """Shared evaluation path; subclasses provide r(t) and r'(t) on arrays of t."""
 
     def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def eval(self, t: float) -> CurveSample:
         tr = reduce_parameter(t)
-        r = self.radius(tr)
-        rd = self.radius_dot(tr)
-        ct, st = math.cos(tr), math.sin(tr)
-        point = np.array([r * ct, r * st])
-        velocity = np.array([rd * ct - r * st, rd * st + r * ct])
-        if r * r + rd * rd == 0.0:
+        point, velocity = self.batch(tr)
+        if not velocity.any():
             raise AdmissibilityError(f"velocity vanishes at t={tr}")
         return CurveSample(tr, point, velocity)
 
-    def batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and velocities at many parameters, shape (n, 2) each."""
+    def batch(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and velocities at parameters of any shape, shape ts.shape + (2,) each."""
         ts = np.asarray(ts, dtype=float)
         r, rd = self.radius_batch(ts)
         ct, st = np.cos(ts), np.sin(ts)
-        points = np.column_stack([r * ct, r * st])
-        velocities = np.column_stack([rd * ct - r * st, rd * st + r * ct])
+        points = np.stack([r * ct, r * st], axis=-1)
+        velocities = np.stack([rd * ct - r * st, rd * st + r * ct], axis=-1)
         return points, velocities
 
 
@@ -72,12 +62,6 @@ class Circle(_PolarCurve):
         object.__setattr__(self, "a", float(self.a))
         if not 0.0 < self.a < 1.0:
             raise DomainError(f"circle radius must lie in (0, 1), got {self.a}")
-
-    def radius(self, t: float) -> float:
-        return self.a
-
-    def radius_dot(self, t: float) -> float:
-        return 0.0
 
     def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.full(ts.shape, self.a), np.zeros(ts.shape)
@@ -112,19 +96,6 @@ class PolarFourierCurve(_PolarCurve):
     @property
     def harmonics(self) -> int:
         return len(self.cos_coeffs)
-
-    def radius(self, t: float) -> float:
-        r = self.a0
-        for k in range(self.harmonics):
-            r += self.cos_coeffs[k] * math.cos((k + 1) * t) + self.sin_coeffs[k] * math.sin((k + 1) * t)
-        return r
-
-    def radius_dot(self, t: float) -> float:
-        rd = 0.0
-        for k in range(self.harmonics):
-            w = k + 1
-            rd += -self.cos_coeffs[k] * w * math.sin(w * t) + self.sin_coeffs[k] * w * math.cos(w * t)
-        return rd
 
     def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = np.full(ts.shape, self.a0)

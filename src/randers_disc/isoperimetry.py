@@ -36,8 +36,8 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.harmonics < 1:
             raise DomainError("need at least one harmonic")
-        if self.epsilon < 0.0:
-            raise DomainError("epsilon must be nonnegative")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.count < 1:
             raise DomainError("count must be positive")
 

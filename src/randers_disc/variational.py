@@ -62,33 +62,27 @@ def lambda_for_circle(a: float, cfg: RandersConfig) -> float:
 
 # -- Euler-Lagrange in the polar chart ---------------------------------------
 #    h(r, rdot) = (2 kap r^2 + 2 lam sqrt(r^2 + rdot^2))/(1 - r^2)
+#    Here and in normality, t is a scalar or an array and results take its shape.
 
-def _dh_dr_parts(r: float, rd: float, kap: float) -> tuple[float, float]:
-    """(f part, g part per unit lam) of dh/dr."""
-    s = 1.0 - r * r
-    w = math.hypot(r, rd)
-    f_part = 4.0 * kap * r / (s * s)
-    g_part = 2.0 * r / (w * s) + 4.0 * r * w / (s * s)
-    return f_part, g_part
+def _dg_drdot(curve: _PolarCurve, ts) -> np.ndarray:
+    r, rd = curve.radius_batch(ts)
+    return 2.0 * rd / (np.hypot(r, rd) * (1.0 - r * r))
 
 
-def _dg_drdot(curve: _PolarCurve, t: float) -> float:
-    r = curve.radius(t)
-    rd = curve.radius_dot(t)
-    return 2.0 * rd / (math.hypot(r, rd) * (1.0 - r * r))
-
-
-def _el_parts(curve: _PolarCurve, t: float, kap: float, time_step: float) -> tuple[float, float]:
+def _el_parts(curve: _PolarCurve, ts, kap: float, time_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Residual = f_part + lam * g_part, both analytic except d/dt by differences."""
-    r = curve.radius(t)
-    rd = curve.radius_dot(t)
-    f_part, g_r = _dh_dr_parts(r, rd, kap)
-    dt_term = fd.d1_central(lambda u: _dg_drdot(curve, u), t, time_step)
+    ts = np.asarray(ts, dtype=float)
+    r, rd = curve.radius_batch(ts)
+    s = 1.0 - r * r
+    w = np.hypot(r, rd)
+    f_part = 4.0 * kap * r / (s * s)
+    g_r = 2.0 * r / (w * s) + 4.0 * r * w / (s * s)
+    dt_term = fd.d1_central(lambda u: _dg_drdot(curve, u), ts, time_step)
     return f_part, g_r - dt_term
 
 
-def el_residual(curve: _PolarCurve, system: LagrangeSystem, t: float, time_step: float = 1e-5) -> float:
-    """Polar Euler-Lagrange residual dh/dr - d/dt dh/drdot at parameter t."""
+def el_residual(curve: _PolarCurve, system: LagrangeSystem, t, time_step: float = 1e-5) -> np.ndarray:
+    """Polar Euler-Lagrange residual dh/dr - d/dt dh/drdot at parameter(s) t."""
     f_part, g_part = _el_parts(curve, t, system.kappa, time_step)
     return f_part + system.lam * g_part
 
@@ -101,11 +95,7 @@ def solve_lambda_numeric(
 ) -> float:
     """Least-squares multiplier: the residual is affine in lam, so minimizing
     its L2 norm along the circle is one linear solve."""
-    circle = Circle(a)
-    fs = np.empty(grid.n)
-    gs = np.empty(grid.n)
-    for i, t in enumerate(grid.nodes):
-        fs[i], gs[i] = _el_parts(circle, float(t), cfg.kappa, time_step)
+    fs, gs = _el_parts(Circle(a), grid.nodes, cfg.kappa, time_step)
     denom = float(gs @ gs)
     if denom <= 0.0:
         raise NumericalError("multiplier system is singular: zero constraint response")
@@ -114,29 +104,20 @@ def solve_lambda_numeric(
 
 # -- normality ----------------------------------------------------------------
 
-def _g_velocity_gradient(sample) -> np.ndarray:
-    x1, x2 = sample.point
-    v1, v2 = sample.velocity
-    s = 1.0 - x1 * x1 - x2 * x2
-    speed = math.hypot(v1, v2)
-    return np.array([2.0 * v1 / (s * speed), 2.0 * v2 / (s * speed)])
+def _g_gradients(points: np.ndarray, velocities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g_x, g_v) of the length integrand g = 2|v|/(1 - |x|^2), shaped like the inputs."""
+    x1, x2 = points[..., 0], points[..., 1]
+    s = (1.0 - x1 * x1 - x2 * x2)[..., None]
+    speed = np.hypot(velocities[..., 0], velocities[..., 1])[..., None]
+    return 4.0 * points * speed / (s * s), 2.0 * velocities / (s * speed)
 
 
-def normality(curve: _PolarCurve, cfg: RandersConfig, t: float, time_step: float = 1e-5) -> tuple[float, float]:
+def normality(curve: _PolarCurve, cfg: RandersConfig, t, time_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
     """(P1, P2) = g_x - d/dt g_v for the length constraint; must never both vanish."""
-    sample = curve.eval(t)
-    x1, x2 = sample.point
-    v1, v2 = sample.velocity
-    s = 1.0 - x1 * x1 - x2 * x2
-    speed = math.hypot(v1, v2)
-    gx = np.array([4.0 * x1 * speed / (s * s), 4.0 * x2 * speed / (s * s)])
-
-    def gv(u: float, idx: int) -> float:
-        return _g_velocity_gradient(curve.eval(u))[idx]
-
-    p1 = gx[0] - fd.d1_central(lambda u: gv(u, 0), t, time_step)
-    p2 = gx[1] - fd.d1_central(lambda u: gv(u, 1), t, time_step)
-    return float(p1), float(p2)
+    t = np.asarray(t, dtype=float)
+    gx, _ = _g_gradients(*curve.batch(t))
+    p = gx - fd.d1_central(lambda u: _g_gradients(*curve.batch(u))[1], t, time_step)
+    return p[..., 0], p[..., 1]
 
 
 # -- Weierstrass excess --------------------------------------------------------
@@ -197,24 +178,22 @@ def h1_along(circle: Circle, system: LagrangeSystem, t: float = 0.0, rel_step: f
     return t11 + t22
 
 
-def hessian_velocity_form(circle: Circle, system: LagrangeSystem, t: float, y, rel_step: float = 2e-3) -> float:
+def hessian_velocity_form(circle: Circle, system: LagrangeSystem, t: float, y, rel_step: float = 2e-3) -> np.ndarray:
     """Quadratic form sum h_{v^i v^j} y^i y^j at (gamma(t), gamma'(t)).
 
-    Evaluated as one directional second derivative along y; vanishes iff y is
-    tangent to the circle, and is negative elsewhere when lam < 0.
+    Evaluated as one directional second derivative along y, a direction of
+    shape (2,) or an array of them of shape (n, 2); vanishes iff y is tangent
+    to the circle, and is negative elsewhere when lam < 0.
     """
     y = np.asarray(y, dtype=float)
-    ny = math.hypot(y[0], y[1])
-    if ny == 0.0:
-        return 0.0
-    sample = circle.eval(t)
-    x1, x2 = sample.point
-    v1, v2 = sample.velocity
+    y1, y2 = y[..., 0], y[..., 1]
+    ny = np.hypot(y1, y2)
+    nonzero = ny != 0.0
+    (x1, x2), (v1, v2) = circle.batch(t)
     kap, lam = system.kappa, system.lam
-    step = rel_step * circle.a / ny
-    return fd.d2_5pt(
-        lambda s_: lagrangian(x1, x2, v1 + s_ * y[0], v2 + s_ * y[1], kap, lam), 0.0, step
-    )
+    step = rel_step * circle.a / np.where(nonzero, ny, 1.0)
+    form = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_ * y1, v2 + s_ * y2, kap, lam), 0.0, step)
+    return np.where(nonzero, form, 0.0)
 
 
 def hessian_velocity_closed(circle: Circle, system: LagrangeSystem, t: float, y) -> float:
@@ -269,34 +248,27 @@ def jacobi_coeffs(
     hx = min(mixed_step, 0.25 * (1.0 - a))
     hvm = hx * a
 
-    def kinematics(tau: float):
-        x1, x2 = a * math.cos(tau), a * math.sin(tau)
-        v1, v2 = -a * math.sin(tau), a * math.cos(tau)
-        return x1, x2, v1, v2
+    def kinematics(tau: float) -> list[float]:
+        point, velocity = circle.batch(tau)
+        return [*point.tolist(), *velocity.tolist()]
 
-    def h_v1v1(tau: float) -> float:
-        x1, x2, v1, v2 = kinematics(tau)
+    def h_v1v1(x1, x2, v1, v2) -> float:
         return fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_, v2, kap, lam), 0.0, hv)
-
-    def h1_at(tau: float) -> float:
-        v2 = a * math.cos(tau)
-        return h_v1v1(tau) / (v2 * v2)
 
     def K_at(tau: float) -> float:
         x1, x2, v1, v2 = kinematics(tau)
         mixed = fd.mixed_4th(
             lambda sx, sv: lagrangian(x1 + sx, x2, v1 + sv, v2, kap, lam), 0.0, 0.0, hx, hvm
         )
-        xdd2 = -a * math.sin(tau)  # second derivative of x^2 along the circle
-        return mixed - xdd2 * h_v1v1(tau) / v2
+        # -x2 is the second derivative of x^2 along the circle
+        return mixed + x2 * h_v1v1(x1, x2, v1, v2) / v2
 
     x1, x2, v1, v2 = kinematics(t)
-    h1 = h1_at(t)
+    h1 = h_v1v1(x1, x2, v1, v2) / (v2 * v2)
     K = K_at(t)
     dK = fd.d1_4th(K_at, t, rate_step)
     h_x1x1 = fd.d2_5pt(lambda s_: lagrangian(x1 + s_, x2, v1, v2, kap, lam), 0.0, hx)
-    xdd2 = -a * math.sin(t)
-    h2 = (h_x1x1 - xdd2 * xdd2 * h1 - dK) / (v2 * v2)
+    h2 = (h_x1x1 - x2 * x2 * h1 - dK) / (v2 * v2)
 
     # U is built from the constraint integrand g alone (kap = 0, lam = 1)
     g_x1v2 = fd.mixed_4th(
@@ -498,20 +470,13 @@ def _variation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ts, w
 
 
-def _circle_g_derivatives(a: float, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-    x1, x2 = a * np.cos(ts), a * np.sin(ts)
-    v1, v2 = -a * np.sin(ts), a * np.cos(ts)
-    s = 1.0 - a * a
-    speed = np.hypot(v1, v2)
-    return 4.0 * x1 * speed / s**2, 4.0 * x2 * speed / s**2, 2.0 * v1 / (s * speed), 2.0 * v2 / (s * speed)
-
-
 def constraint_functional(circle: Circle, probe: VariationProbe, n: int = 1024) -> float:
     """Linearized length constraint ell(y) = integral of g_x . y + g_v . ydot."""
     ts, w = _variation_nodes(n)
-    gx1, gx2, gv1, gv2 = _circle_g_derivatives(circle.a, ts)
+    gx, gv = _g_gradients(*circle.batch(ts))
     y, yd = probe.fields(ts)
-    return float(np.sum(w * (gx1 * y[:, 0] + gx2 * y[:, 1] + gv1 * yd[:, 0] + gv2 * yd[:, 1])))
+    integrand = gx[:, 0] * y[:, 0] + gx[:, 1] * y[:, 1] + gv[:, 0] * yd[:, 0] + gv[:, 1] * yd[:, 1]
+    return float(np.sum(w * integrand))
 
 
 def constraint_vector(circle: Circle, harmonics: int = _PROBE_HARMONICS, n: int = 1024) -> np.ndarray:
@@ -556,7 +521,8 @@ def hessian_blocks(
     """
     if hv is None:
         hv = 1e-4 * a
-    base_args = [a * np.cos(ts), a * np.sin(ts), -a * np.sin(ts), a * np.cos(ts)]
+    points, velocities = Circle(a).batch(ts)
+    base_args = [*points.T, *velocities.T]
     steps = [hx, hx, hv, hv]
 
     def h_at(shift: list[int]) -> np.ndarray:
@@ -695,8 +661,9 @@ def build_certificate(
     notes = ["second variation probed on a finite trigonometric basis (harmonics <= 6)"]
     if lambda_override is not None:
         notes.append(f"lambda overridden to {lam}")
-    ts = np.linspace(0.0, TWO_PI, t_samples, endpoint=False).tolist()
-    samples = [(t, circle.eval(t)) for t in ts[:: max(1, t_samples // 16)]]
+    ts = np.linspace(0.0, TWO_PI, t_samples, endpoint=False)
+    sample_ts = ts[:: max(1, t_samples // 16)]
+    samples = list(zip(sample_ts.tolist(), *circle.batch(sample_ts)))
 
     def guarded(name: str, check, failed=math.nan):
         try:
@@ -720,18 +687,16 @@ def build_certificate(
         return float(np.max([second_variation(circle, system, p, n=grid.n, blocks=blocks) for p in probes]))
 
     # np.max/np.min propagate a NaN sample, so it fails its comparison below
-    el_max = guarded("euler_lagrange", lambda: float(np.max([abs(el_residual(circle, system, t)) for t in ts])))
-    normality_min = guarded(
-        "normality", lambda: float(np.min([math.hypot(*normality(circle, cfg, t)) for t in ts]))
-    )
+    el_max = guarded("euler_lagrange", lambda: float(np.max(np.abs(el_residual(circle, system, ts)))))
+    normality_min = guarded("normality", lambda: float(np.min(np.hypot(*normality(circle, cfg, ts)))))
     weier_max = guarded("weierstrass", lambda: float(np.max([
-        weierstrass_E(sample.point, sample.velocity, u, system)
-        for _, sample in samples for u in _direction_samples(sample.velocity)
+        weierstrass_E(point, velocity, u, system)
+        for _, point, velocity in samples for u in _direction_samples(velocity)
     ])))
     h1_val = guarded("h1", h1_check)
     hess_max = guarded("hessian_form", lambda: float(np.max([
-        hessian_velocity_form(circle, system, t, y)
-        for t, sample in samples for y in _direction_samples(sample.velocity, magnitudes=(1.0,))
+        hessian_velocity_form(circle, system, t, _direction_samples(velocity, magnitudes=(1.0,)))
+        for t, _, velocity in samples
     ])))
     conj = guarded("conjugate scan", lambda: conjugate_scan(circle, system, scan_points, scan_steps), None)
     sv_max = guarded("second variation", probe_max)

@@ -87,6 +87,28 @@ def test_vacuous_sizes_are_usage_errors(argv, capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "--a", "0.5", "--form", "bh", "--tol", "nan"],
+        ["certificate", "--a", "0.5", "--form", "bh", "--tol", "inf"],
+        ["deficit-sweep", "--tol", "nan"],
+        ["perturb", "--a", "0.5", "--form", "bh", "--epsilon", "nan"],
+        ["perturb", "--a", "0.5", "--form", "bh", "--epsilon", "inf"],
+    ],
+    ids=["certificate-tol-nan", "certificate-tol-inf", "sweep-tol-nan", "epsilon-nan", "epsilon-inf"],
+)
+def test_non_finite_floats_are_usage_errors(argv, capsys, monkeypatch, tmp_path):
+    def computed(cfg):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._DISPATCH, argv[0], computed)
+    rc, out = run(argv, tmp_path)
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 ERROR_CLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__
 ]

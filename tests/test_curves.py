@@ -73,7 +73,7 @@ def test_polar_identities():
     curve = PolarFourierCurve(0.45, (0.05,), (-0.02,))
     for t in (0.2, 2.1, 3.9):
         s = curve.eval(t)
-        r = curve.radius(t)
+        r, _ = curve.radius_batch(np.array(t))
         assert math.hypot(*s.point) == pytest.approx(r, rel=1e-14)
         cross = s.point[0] * s.velocity[1] - s.point[1] * s.velocity[0]
         assert cross == pytest.approx(r * r, rel=1e-13)
@@ -83,7 +83,7 @@ def test_polar_identities():
 def test_speed_identity_property(coeffs, t):
     curve = PolarFourierCurve(0.5, tuple(coeffs), tuple(0.0 for _ in coeffs))
     s = curve.eval(t)
-    r, rd = curve.radius(s.t), curve.radius_dot(s.t)
+    r, rd = curve.radius_batch(np.array(s.t))
     assert float(s.velocity @ s.velocity) == pytest.approx(r * r + rd * rd, rel=1e-12)
 
 
@@ -114,9 +114,11 @@ def test_rotation_shifts_the_radius_function():
     curve = PolarFourierCurve(0.5, (0.04, -0.01, 0.02), (0.01, 0.03, -0.02))
     phi = 0.7
     rot = curve.rotated(phi)
-    for t in np.linspace(0.0, TWO_PI, 17):
-        assert rot.radius(t) == pytest.approx(curve.radius(t + phi), abs=1e-14)
-        assert rot.radius_dot(t) == pytest.approx(curve.radius_dot(t + phi), abs=1e-13)
+    ts = np.linspace(0.0, TWO_PI, 17)
+    r_rot, rd_rot = rot.radius_batch(ts)
+    r, rd = curve.radius_batch(ts + phi)
+    assert r_rot == pytest.approx(r, abs=1e-14)
+    assert rd_rot == pytest.approx(rd, abs=1e-13)
 
 
 def test_rotation_by_period_is_identity():

@@ -29,6 +29,8 @@ def test_spec_validation():
     for bad in (
         dict(harmonics=0),
         dict(epsilon=-0.1),
+        dict(epsilon=math.nan),
+        dict(epsilon=math.inf),
         dict(count=0),
     ):
         with pytest.raises(DomainError):

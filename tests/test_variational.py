@@ -131,6 +131,20 @@ def test_normality_closed_form_along_circle(a, cfg_bh):
         assert math.hypot(p1, p2) > 0.0
 
 
+@pytest.mark.parametrize(
+    "curve",
+    [Circle(0.5), PolarFourierCurve(0.5, (0.05, -0.01), (0.02, 0.005))],
+    ids=["circle", "fourier"],
+)
+def test_array_checks_equal_one_t_calls_bitwise(curve, cfg_bh):
+    system = LagrangeSystem(lambda_for_circle(0.5, cfg_bh), cfg_bh)
+    ts = np.linspace(0.0, TWO_PI, 37)
+    p1, p2 = normality(curve, cfg_bh, ts)
+    assert el_residual(curve, system, ts).tolist() == [float(el_residual(curve, system, t)) for t in ts]
+    assert p1.tolist() == [float(normality(curve, cfg_bh, t)[0]) for t in ts]
+    assert p2.tolist() == [float(normality(curve, cfg_bh, t)[1]) for t in ts]
+
+
 # -- Weierstrass excess -------------------------------------------------------
 
 def test_weierstrass_orthogonal_unit_example():
