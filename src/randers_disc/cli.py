@@ -24,7 +24,6 @@ from .functionals import QuadratureGrid, area, length
 from .isoperimetry import PerturbationSpec, deficit_value, run_trials
 from .metric import beta_covector, disc_grid, potential, yasuda_shimada_residual
 from .variational import (
-    LagrangeSystem,
     build_certificate,
     conjugate_scan,
     lambda_for_circle,
@@ -141,14 +140,11 @@ def cmd_perturb(cfg: RunConfig) -> int:
 
 def cmd_conjugate(cfg: RunConfig) -> int:
     rc = RandersConfig(cfg.b, cfg.form)
-    circle = Circle(cfg.a)
-    system = LagrangeSystem(lambda_for_circle(cfg.a, rc), rc)
-    report = conjugate_scan(
-        circle, system, scan_points=cfg.scan_points, n_steps=cfg.scan_steps
-    )
+    lam = lambda_for_circle(cfg.a, rc)
+    report = conjugate_scan(Circle(cfg.a), rc.kappa, lam, scan_points=cfg.scan_points, n_steps=cfg.scan_steps)
     doc = {
         "config": cfg.echo(),
-        "lambda": system.lam,
+        "lambda": lam,
         "jacobi": dataclasses.asdict(report.coeffs),
         "zero_crossing": report.zero_crossing,
         "min_abs_D": report.min_abs_D,

@@ -34,6 +34,8 @@ class PerturbationSpec:
     count: int = 200
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.harmonics < 1:
             raise DomainError("need at least one harmonic")
         if not 0.0 <= self.epsilon < math.inf:

@@ -43,16 +43,6 @@ def lagrangian(x1, x2, v1, v2, kap: float, lam: float):
     return (2.0 * kap * (x1 * v2 - x2 * v1) + 2.0 * lam * np.sqrt(v1 * v1 + v2 * v2)) / s
 
 
-@dataclasses.dataclass(frozen=True)
-class LagrangeSystem:
-    lam: float
-    cfg: RandersConfig
-
-    @property
-    def kappa(self) -> float:
-        return self.cfg.kappa
-
-
 def lambda_for_circle(a: float, cfg: RandersConfig) -> float:
     """Multiplier of the extremal circle: -2 a kappa/(1 + a^2), negative on (0,1)."""
     if not 0.0 < a < 1.0:
@@ -81,10 +71,10 @@ def _el_parts(curve: _PolarCurve, ts, kap: float, time_step: float) -> tuple[np.
     return f_part, g_r - dt_term
 
 
-def el_residual(curve: _PolarCurve, system: LagrangeSystem, t, time_step: float = 1e-5) -> np.ndarray:
+def el_residual(curve: _PolarCurve, kap: float, lam: float, t, time_step: float = 1e-5) -> np.ndarray:
     """Polar Euler-Lagrange residual dh/dr - d/dt dh/drdot at parameter(s) t."""
-    f_part, g_part = _el_parts(curve, t, system.kappa, time_step)
-    return f_part + system.lam * g_part
+    f_part, g_part = _el_parts(curve, t, kap, time_step)
+    return f_part + lam * g_part
 
 
 def solve_lambda_numeric(
@@ -112,7 +102,7 @@ def _g_gradients(points: np.ndarray, velocities: np.ndarray) -> tuple[np.ndarray
     return 4.0 * points * speed / (s * s), 2.0 * velocities / (s * speed)
 
 
-def normality(curve: _PolarCurve, cfg: RandersConfig, t, time_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+def normality(curve: _PolarCurve, t, time_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
     """(P1, P2) = g_x - d/dt g_v for the length constraint; must never both vanish."""
     t = np.asarray(t, dtype=float)
     gx, _ = _g_gradients(*curve.batch(t))
@@ -121,47 +111,44 @@ def normality(curve: _PolarCurve, cfg: RandersConfig, t, time_step: float = 1e-5
 
 
 # -- Weierstrass excess --------------------------------------------------------
+#    Points, velocities and directions have shape (..., 2) and broadcast over
+#    the leading axes, as does t below; results take the broadcast shape.
 
-def _h_velocity_gradient(p, v, kap: float, lam: float) -> np.ndarray:
-    x1, x2 = p
-    v1, v2 = v
-    s = 1.0 - x1 * x1 - x2 * x2
-    speed = math.hypot(v1, v2)
-    return np.array(
-        [(-2.0 * kap * x2 + 2.0 * lam * v1 / speed) / s, (2.0 * kap * x1 + 2.0 * lam * v2 / speed) / s]
-    )
+def _components(z) -> tuple[np.ndarray, np.ndarray]:
+    z = np.asarray(z, dtype=float)
+    return z[..., 0], z[..., 1]
 
 
-def weierstrass_E(p, xdot, u, system: LagrangeSystem) -> float:
+def weierstrass_E(p, xdot, u, kap: float, lam: float) -> np.ndarray:
     """Defining excess h(p,u) - h(p,xdot) - (u - xdot) . h_v(p,xdot).
 
     The area term is linear in velocity and cancels; the closed form is
     weierstrass_closed, and their agreement is a core verification target.
     """
-    p = np.asarray(p, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    u = np.asarray(u, dtype=float)
-    kap, lam = system.kappa, system.lam
-    h_u = lagrangian(p[0], p[1], u[0], u[1], kap, lam)
-    h_x = lagrangian(p[0], p[1], xdot[0], xdot[1], kap, lam)
-    grad = _h_velocity_gradient(p, xdot, kap, lam)
-    return float(h_u - h_x - (u - xdot) @ grad)
+    x1, x2 = _components(p)
+    v1, v2 = _components(xdot)
+    u1, u2 = _components(u)
+    s = 1.0 - x1 * x1 - x2 * x2
+    speed = np.hypot(v1, v2)
+    h_v1 = (-2.0 * kap * x2 + 2.0 * lam * v1 / speed) / s
+    h_v2 = (2.0 * kap * x1 + 2.0 * lam * v2 / speed) / s
+    h_u = lagrangian(x1, x2, u1, u2, kap, lam)
+    h_x = lagrangian(x1, x2, v1, v2, kap, lam)
+    return h_u - h_x - ((u1 - v1) * h_v1 + (u2 - v2) * h_v2)
 
 
-def weierstrass_closed(p, xdot, u, system: LagrangeSystem) -> float:
+def weierstrass_closed(p, xdot, u, lam: float) -> np.ndarray:
     """(2 lam/((1-r^2)|xdot|)) (|u||xdot| - <xdot, u>); nonpositive iff lam <= 0."""
-    p = np.asarray(p, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    u = np.asarray(u, dtype=float)
-    s = 1.0 - p @ p
-    nx = math.hypot(xdot[0], xdot[1])
-    nu = math.hypot(u[0], u[1])
-    return 2.0 * system.lam * (nu * nx - float(xdot @ u)) / (s * nx)
+    x1, x2 = _components(p)
+    v1, v2 = _components(xdot)
+    u1, u2 = _components(u)
+    nx = np.hypot(v1, v2)
+    return 2.0 * lam * (np.hypot(u1, u2) * nx - (v1 * u1 + v2 * u2)) / ((1.0 - x1 * x1 - x2 * x2) * nx)
 
 
 # -- velocity Hessian of h ------------------------------------------------------
 
-def h1_along(circle: Circle, system: LagrangeSystem, t: float = 0.0, rel_step: float = 2e-3) -> float:
+def h1_along(circle: Circle, kap: float, lam: float, t: float = 0.0, rel_step: float = 2e-3) -> float:
     """Velocity-Hessian trace h_v1v1 + h_v2v2 at (gamma(t), gamma'(t)).
 
     Along an extremal circle this equals 2 lam/(a (1 - a^2)), the scalar whose
@@ -171,40 +158,37 @@ def h1_along(circle: Circle, system: LagrangeSystem, t: float = 0.0, rel_step: f
     sample = circle.eval(t)
     x1, x2 = sample.point
     v1, v2 = sample.velocity
-    kap, lam = system.kappa, system.lam
     step = rel_step * circle.a
     t11 = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_, v2, kap, lam), 0.0, step)
     t22 = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1, v2 + s_, kap, lam), 0.0, step)
     return t11 + t22
 
 
-def hessian_velocity_form(circle: Circle, system: LagrangeSystem, t: float, y, rel_step: float = 2e-3) -> np.ndarray:
+def hessian_velocity_form(circle: Circle, kap: float, lam: float, t, y, rel_step: float = 2e-3) -> np.ndarray:
     """Quadratic form sum h_{v^i v^j} y^i y^j at (gamma(t), gamma'(t)).
 
-    Evaluated as one directional second derivative along y, a direction of
-    shape (2,) or an array of them of shape (n, 2); vanishes iff y is tangent
-    to the circle, and is negative elsewhere when lam < 0.
+    Evaluated as one directional second derivative along y; vanishes iff y
+    is tangent to the circle, and is negative elsewhere when lam < 0.
     """
-    y = np.asarray(y, dtype=float)
-    y1, y2 = y[..., 0], y[..., 1]
+    y1, y2 = _components(y)
     ny = np.hypot(y1, y2)
     nonzero = ny != 0.0
-    (x1, x2), (v1, v2) = circle.batch(t)
-    kap, lam = system.kappa, system.lam
+    points, velocities = circle.batch(t)
+    x1, x2 = _components(points)
+    v1, v2 = _components(velocities)
     step = rel_step * circle.a / np.where(nonzero, ny, 1.0)
     form = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_ * y1, v2 + s_ * y2, kap, lam), 0.0, step)
     return np.where(nonzero, form, 0.0)
 
 
-def hessian_velocity_closed(circle: Circle, system: LagrangeSystem, t: float, y) -> float:
+def hessian_velocity_closed(circle: Circle, lam: float, t, y) -> np.ndarray:
     """Closed form 2 lam (v2 y1 - v1 y2)^2 / ((1 - r^2) |v|^3)."""
-    y = np.asarray(y, dtype=float)
-    sample = circle.eval(t)
-    v1, v2 = sample.velocity
-    s = 1.0 - float(sample.point @ sample.point)
-    speed = math.hypot(v1, v2)
-    cross = v2 * y[0] - v1 * y[1]
-    return 2.0 * system.lam * cross * cross / (s * speed**3)
+    y1, y2 = _components(y)
+    points, velocities = circle.batch(t)
+    x1, x2 = _components(points)
+    v1, v2 = _components(velocities)
+    cross = v2 * y1 - v1 * y2
+    return 2.0 * lam * cross * cross / ((1.0 - x1 * x1 - x2 * x2) * np.hypot(v1, v2) ** 3)
 
 
 # -- Jacobi coefficients and the conjugate-point determinant --------------------
@@ -225,7 +209,8 @@ class JacobiCoefficients:
 
 def jacobi_coeffs(
     circle: Circle,
-    system: LagrangeSystem,
+    kap: float,
+    lam: float,
     t: float = 0.0,
     hess_rel_step: float = 2e-3,
     mixed_step: float = 5e-3,
@@ -243,7 +228,6 @@ def jacobi_coeffs(
             f"x1-chart is degenerate near t={t} (|cos t| < {_CHART_COS_MIN})"
         )
     a = circle.a
-    kap, lam = system.kappa, system.lam
     hv = hess_rel_step * a
     hx = min(mixed_step, 0.25 * (1.0 - a))
     hvm = hx * a
@@ -329,7 +313,8 @@ def _rk4_determinants(h1: float, h2: float, U: float, n_steps: int, stride: int)
 
 def conjugate_scan(
     circle: Circle,
-    system: LagrangeSystem,
+    kap: float,
+    lam: float,
     scan_points: int = 512,
     n_steps: int = 4096,
     zero_rel_tol: float = 1e-10,
@@ -345,8 +330,8 @@ def conjugate_scan(
     """
     if not (2 <= scan_points <= n_steps and n_steps % scan_points == 0):
         raise DomainError(f"need 2 <= scan_points <= n_steps, dividing it; got {scan_points} and {n_steps}")
-    coeffs = jacobi_coeffs(circle, system, 0.0)
-    check = jacobi_coeffs(circle, system, math.pi)
+    coeffs = jacobi_coeffs(circle, kap, lam, 0.0)
+    check = jacobi_coeffs(circle, kap, lam, math.pi)
     for name in ("h1", "h2", "U"):
         value = getattr(coeffs, name)
         if not math.isfinite(value):
@@ -554,7 +539,8 @@ def hessian_blocks(
 
 def second_variation(
     circle: Circle,
-    system: LagrangeSystem,
+    kap: float,
+    lam: float,
     probe: VariationProbe,
     n: int = 1024,
     blocks: np.ndarray | None = None,
@@ -567,7 +553,7 @@ def second_variation(
     """
     ts, w = _variation_nodes(n)
     if blocks is None:
-        blocks = hessian_blocks(circle.a, system.kappa, system.lam, ts)
+        blocks = hessian_blocks(circle.a, kap, lam, ts)
     y, yd = probe.fields(ts)
     y1, y2 = y[:, 0], y[:, 1]
     d1, d2 = yd[:, 0], yd[:, 1]
@@ -627,13 +613,16 @@ def _none_if_nan(x: float):
     return None if math.isnan(x) else x
 
 
-def _direction_samples(velocity: np.ndarray, magnitudes=(0.5, 1.0, 2.0), n_angles: int = 40) -> np.ndarray:
-    """Directions around the velocity, excluding the tangent cone."""
-    speed = math.hypot(velocity[0], velocity[1])
-    base = math.atan2(velocity[1], velocity[0])
-    angles = base + np.linspace(_TANGENT_CONE, TWO_PI - _TANGENT_CONE, n_angles)
-    units = np.column_stack([np.cos(angles), np.sin(angles)])
-    return np.concatenate([m * speed * units for m in magnitudes])
+def _direction_samples(velocity, magnitudes=(0.5, 1.0, 2.0), n_angles: int = 40) -> np.ndarray:
+    """Directions around each velocity, excluding the tangent cone.
+
+    velocity has shape (..., 2); the result has shape (..., len(magnitudes) * n_angles, 2).
+    """
+    v1, v2 = _components(velocity)
+    speed = np.hypot(v1, v2)[..., None, None]
+    angles = np.arctan2(v2, v1)[..., None] + np.linspace(_TANGENT_CONE, TWO_PI - _TANGENT_CONE, n_angles)
+    units = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return np.concatenate([m * speed * units for m in magnitudes], axis=-2)
 
 
 def build_certificate(
@@ -655,15 +644,17 @@ def build_certificate(
     """
     if n_probes < 1 or t_samples < 1:
         raise DomainError(f"need n_probes >= 1 and t_samples >= 1, got {n_probes} and {t_samples}")
+    if probe_seed < 0:
+        raise DomainError(f"probe seed must be nonnegative, got {probe_seed}")
     circle = Circle(a)
+    kap = cfg.kappa
     lam = lambda_for_circle(a, cfg) if lambda_override is None else float(lambda_override)
-    system = LagrangeSystem(lam, cfg)
     notes = ["second variation probed on a finite trigonometric basis (harmonics <= 6)"]
     if lambda_override is not None:
         notes.append(f"lambda overridden to {lam}")
     ts = np.linspace(0.0, TWO_PI, t_samples, endpoint=False)
     sample_ts = ts[:: max(1, t_samples // 16)]
-    samples = list(zip(sample_ts.tolist(), *circle.batch(sample_ts)))
+    points, velocities = circle.batch(sample_ts)
 
     def guarded(name: str, check, failed=math.nan):
         try:
@@ -673,32 +664,30 @@ def build_certificate(
             return failed
 
     def h1_check() -> float:
-        value = h1_along(circle, system, 0.0)
+        value = h1_along(circle, kap, lam, 0.0)
         if not value < 0.0:
             notes.append(f"h1 = {value} is not negative (corroboration only)")
         return value
 
     def probe_max() -> float:
         nodes, _ = _variation_nodes(grid.n)
-        blocks = hessian_blocks(a, system.kappa, lam, nodes)
+        blocks = hessian_blocks(a, kap, lam, nodes)
         ell = constraint_vector(circle, n=grid.n)
         rng = np.random.default_rng(probe_seed)
         probes = (project_probe(circle, VariationProbe.random(rng), n=grid.n, ell=ell) for _ in range(n_probes))
-        return float(np.max([second_variation(circle, system, p, n=grid.n, blocks=blocks) for p in probes]))
+        return float(np.max([second_variation(circle, kap, lam, p, n=grid.n, blocks=blocks) for p in probes]))
 
     # np.max/np.min propagate a NaN sample, so it fails its comparison below
-    el_max = guarded("euler_lagrange", lambda: float(np.max(np.abs(el_residual(circle, system, ts)))))
-    normality_min = guarded("normality", lambda: float(np.min(np.hypot(*normality(circle, cfg, ts)))))
-    weier_max = guarded("weierstrass", lambda: float(np.max([
-        weierstrass_E(point, velocity, u, system)
-        for _, point, velocity in samples for u in _direction_samples(velocity)
-    ])))
+    el_max = guarded("euler_lagrange", lambda: float(np.max(np.abs(el_residual(circle, kap, lam, ts)))))
+    normality_min = guarded("normality", lambda: float(np.min(np.hypot(*normality(circle, ts)))))
+    weier_max = guarded("weierstrass", lambda: float(np.max(weierstrass_E(
+        points[:, None], velocities[:, None], _direction_samples(velocities), kap, lam
+    ))))
     h1_val = guarded("h1", h1_check)
-    hess_max = guarded("hessian_form", lambda: float(np.max([
-        hessian_velocity_form(circle, system, t, _direction_samples(velocity, magnitudes=(1.0,)))
-        for t, _, velocity in samples
-    ])))
-    conj = guarded("conjugate scan", lambda: conjugate_scan(circle, system, scan_points, scan_steps), None)
+    hess_max = guarded("hessian_form", lambda: float(np.max(hessian_velocity_form(
+        circle, kap, lam, sample_ts[:, None], _direction_samples(velocities, magnitudes=(1.0,))
+    ))))
+    conj = guarded("conjugate scan", lambda: conjugate_scan(circle, kap, lam, scan_points, scan_steps), None)
     sv_max = guarded("second variation", probe_max)
 
     ok = {

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from randers_disc import Circle, LagrangeSystem, RandersConfig, VolumeForm, lambda_for_circle
+from randers_disc import Circle, RandersConfig, VolumeForm, lambda_for_circle
 
 settings.register_profile(
     "suite",
@@ -30,7 +30,7 @@ def circle_half():
 
 @pytest.fixture
 def system_half(cfg_bh):
-    return LagrangeSystem(lambda_for_circle(0.5, cfg_bh), cfg_bh)
+    return (cfg_bh.kappa, lambda_for_circle(0.5, cfg_bh))
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ import pytest
 
 from randers_disc import (
     Circle,
-    LagrangeSystem,
     PerturbationSpec,
     PolarFourierCurve,
     QuadratureGrid,
@@ -135,10 +134,10 @@ def test_criterion_05_euler_lagrange_residual():
     worst = 0.0
     for a, b, form in GRID:
         cfg = RandersConfig(b, form)
-        system = LagrangeSystem(lambda_for_circle(a, cfg), cfg)
+        kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
         circle = Circle(a)
         for t in T_SAMPLES:
-            worst = max(worst, abs(el_residual(circle, system, float(t))))
+            worst = max(worst, abs(el_residual(circle, kap, lam, float(t))))
     assert worst <= 1e-8
     report(5, "Euler-Lagrange residual", f"max |residual| = {worst:.3e}")
 
@@ -146,11 +145,10 @@ def test_criterion_05_euler_lagrange_residual():
 def test_criterion_06_normality():
     worst = 0.0
     for a, b, form in GRID:
-        cfg = RandersConfig(b, form)
         circle = Circle(a)
         amp = 2.0 * (1.0 + a * a) / (1.0 - a * a) ** 2
         for t in T_SAMPLES[::4]:
-            p1, p2 = normality(circle, cfg, float(t))
+            p1, p2 = normality(circle, float(t))
             norm = math.hypot(p1, p2)
             assert norm > 0.0
             worst = max(worst, abs(norm - amp) / amp)
@@ -161,7 +159,7 @@ def test_criterion_06_normality():
 def test_criterion_07_weierstrass():
     rng = np.random.default_rng(7)
     cfg = RandersConfig(0.3)
-    system = LagrangeSystem(lambda_for_circle(0.5, cfg), cfg)
+    kap, lam = cfg.kappa, lambda_for_circle(0.5, cfg)
     worst = 0.0
     for _ in range(1000):
         r = 0.9 * math.sqrt(rng.uniform(0.0, 1.0))
@@ -171,19 +169,19 @@ def test_criterion_07_weierstrass():
         u = rng.normal(size=2)
         if math.hypot(*xdot) < 1e-3 or math.hypot(*u) < 1e-3:
             continue
-        d = weierstrass_E(p, xdot, u, system)
-        c = weierstrass_closed(p, xdot, u, system)
+        d = weierstrass_E(p, xdot, u, kap, lam)
+        c = weierstrass_closed(p, xdot, u, lam)
         worst = max(worst, abs(d - c) / max(1.0, abs(c)))
         assert d <= 1e-12
     assert worst <= 1e-8
     # equality holds exactly when u is a positive multiple of xdot
     circle = Circle(0.5)
     s = circle.eval(0.3)
-    assert weierstrass_E(s.point, s.velocity, 3.0 * s.velocity, system) == pytest.approx(
+    assert weierstrass_E(s.point, s.velocity, 3.0 * s.velocity, kap, lam) == pytest.approx(
         0.0, abs=1e-12
     )
     perp = (-s.velocity[1], s.velocity[0])
-    assert weierstrass_E(s.point, s.velocity, perp, system) < -1e-3
+    assert weierstrass_E(s.point, s.velocity, perp, kap, lam) < -1e-3
     report(7, "Weierstrass excess", f"max defn-vs-closed err = {worst:.3e}")
 
 
@@ -192,9 +190,8 @@ def test_criterion_08_h1_sign_and_value():
     for a, b, form in GRID:
         cfg = RandersConfig(b, form)
         lam = lambda_for_circle(a, cfg)
-        system = LagrangeSystem(lam, cfg)
         expect = 2.0 * lam / (a * (1.0 - a * a))
-        val = h1_along(Circle(a), system)
+        val = h1_along(Circle(a), cfg.kappa, lam)
         assert val < 0.0
         worst = max(worst, abs(val - expect) / abs(expect))
     assert worst <= 1e-8
@@ -205,8 +202,8 @@ def test_criterion_09_no_conjugate_points():
     worst_halving = 0.0
     for a, b, form in GRID:
         cfg = RandersConfig(b, form)
-        system = LagrangeSystem(lambda_for_circle(a, cfg), cfg)
-        rep = conjugate_scan(Circle(a), system)
+        kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
+        rep = conjugate_scan(Circle(a), kap, lam)
         assert not rep.zero_crossing
         worst_halving = max(worst_halving, rep.step_halving)
     assert worst_halving <= 1e-8
@@ -220,14 +217,13 @@ def test_criterion_10_second_variation_negative():
     for a, b, form in GRID:
         cfg = RandersConfig(b, form)
         lam = lambda_for_circle(a, cfg)
-        system = LagrangeSystem(lam, cfg)
         circle = Circle(a)
         blocks = hessian_blocks(a, cfg.kappa, lam, np.append(ts, TWO_PI))
         ell = constraint_vector(circle)
         rng = np.random.default_rng(10)
         for _ in range(50):
             probe = project_probe(circle, VariationProbe.random(rng), ell=ell)
-            val = second_variation(circle, system, probe, blocks=blocks)
+            val = second_variation(circle, cfg.kappa, lam, probe, blocks=blocks)
             assert val < 0.0
             worst = max(worst, val)
     report(10, "second variation", f"largest J'' over grid = {worst:.3e}")

@@ -77,8 +77,17 @@ def test_sweep_range_validation(capsys, tmp_path):
         ["certificate", "--scan-points", "500"],
         ["certificate", "--scan-steps", "0"],
         ["conjugate", "--scan-points", "0"],
+        ["certificate", "--seed", "-1"],
+        ["perturb", "--seed", "-1"],
     ],
-    ids=["probes-0", "scan-points-500", "scan-steps-0", "conjugate-scan-points-0"],
+    ids=[
+        "probes-0",
+        "scan-points-500",
+        "scan-steps-0",
+        "conjugate-scan-points-0",
+        "certificate-seed--1",
+        "perturb-seed--1",
+    ],
 )
 def test_vacuous_sizes_are_usage_errors(argv, capsys, tmp_path):
     rc, out = run(argv[:1] + ["--a", "0.5", "--b", "0.3", "--form", "bh"] + argv[1:], tmp_path)

@@ -9,7 +9,6 @@ from randers_disc import (
     Circle,
     DomainError,
     IntegrationError,
-    LagrangeSystem,
     NumericalError,
     PolarFourierCurve,
     ProjectionError,
@@ -88,10 +87,10 @@ def test_solve_lambda_numeric_matches_closed_form():
 
 # -- Euler-Lagrange -----------------------------------------------------------
 
-def test_el_residual_vanishes_at_extremal_multiplier(circle_half, cfg_bh):
-    system = LagrangeSystem(lambda_for_circle(0.5, cfg_bh), cfg_bh)
+def test_el_residual_vanishes_at_extremal_multiplier(circle_half, system_half):
+    kap, lam = system_half
     worst = max(
-        abs(el_residual(circle_half, system, t))
+        abs(el_residual(circle_half, kap, lam, t))
         for t in np.linspace(0.0, TWO_PI, 32, endpoint=False)
     )
     assert worst <= 1e-8
@@ -99,15 +98,15 @@ def test_el_residual_vanishes_at_extremal_multiplier(circle_half, cfg_bh):
 
 def test_el_residual_wrong_multiplier_exact_value():
     cfg = RandersConfig(0.0, VolumeForm.BUSEMANN_HAUSDORFF)  # kappa = 1
-    system = LagrangeSystem(-1.0, cfg)
-    assert el_residual(Circle(0.5), system, 0.7) == pytest.approx(-8.0 / 9.0, abs=1e-10)
+    kap, lam = cfg.kappa, -1.0
+    assert el_residual(Circle(0.5), kap, lam, 0.7) == pytest.approx(-8.0 / 9.0, abs=1e-10)
 
 
-def test_el_residual_discriminates_perturbed_curves(cfg_bh):
-    system = LagrangeSystem(lambda_for_circle(0.5, cfg_bh), cfg_bh)
+def test_el_residual_discriminates_perturbed_curves(system_half):
+    kap, lam = system_half
     curve = PolarFourierCurve(0.5, (0.05,), (0.0,))
     worst = max(
-        abs(el_residual(curve, system, t))
+        abs(el_residual(curve, kap, lam, t))
         for t in np.linspace(0.0, TWO_PI, 32, endpoint=False)
     )
     assert worst > 1e-3
@@ -115,17 +114,17 @@ def test_el_residual_discriminates_perturbed_curves(cfg_bh):
 
 # -- normality ----------------------------------------------------------------
 
-def test_normality_at_zero(cfg_bh):
-    p1, p2 = normality(Circle(0.5), cfg_bh, 0.0)
+def test_normality_at_zero():
+    p1, p2 = normality(Circle(0.5), 0.0)
     assert p1 == pytest.approx(2.0 * 1.25 / 0.75**2, rel=1e-8)
     assert p2 == pytest.approx(0.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
-def test_normality_closed_form_along_circle(a, cfg_bh):
+def test_normality_closed_form_along_circle(a):
     amp = 2.0 * (1.0 + a * a) / (1.0 - a * a) ** 2
     for t in (0.4, 1.9, 3.3, 5.6):
-        p1, p2 = normality(Circle(a), cfg_bh, t)
+        p1, p2 = normality(Circle(a), t)
         assert p1 == pytest.approx(amp * math.cos(t), abs=1e-8 * amp)
         assert p2 == pytest.approx(amp * math.sin(t), abs=1e-8 * amp)
         assert math.hypot(p1, p2) > 0.0
@@ -136,13 +135,34 @@ def test_normality_closed_form_along_circle(a, cfg_bh):
     [Circle(0.5), PolarFourierCurve(0.5, (0.05, -0.01), (0.02, 0.005))],
     ids=["circle", "fourier"],
 )
-def test_array_checks_equal_one_t_calls_bitwise(curve, cfg_bh):
-    system = LagrangeSystem(lambda_for_circle(0.5, cfg_bh), cfg_bh)
+def test_array_checks_equal_one_t_calls_bitwise(curve, system_half, rng):
+    kap, lam = system_half
     ts = np.linspace(0.0, TWO_PI, 37)
-    p1, p2 = normality(curve, cfg_bh, ts)
-    assert el_residual(curve, system, ts).tolist() == [float(el_residual(curve, system, t)) for t in ts]
-    assert p1.tolist() == [float(normality(curve, cfg_bh, t)[0]) for t in ts]
-    assert p2.tolist() == [float(normality(curve, cfg_bh, t)[1]) for t in ts]
+    p1, p2 = normality(curve, ts)
+    assert el_residual(curve, kap, lam, ts).tolist() == [float(el_residual(curve, kap, lam, t)) for t in ts]
+    assert p1.tolist() == [float(normality(curve, t)[0]) for t in ts]
+    assert p2.tolist() == [float(normality(curve, t)[1]) for t in ts]
+    # five directions per node, broadcast against the node axis
+    points, velocities = curve.batch(ts)
+    us = rng.normal(size=(ts.size, 5, 2))
+    pairs = [(i, j) for i in range(ts.size) for j in range(5)]
+    circle = Circle(0.5)
+    excess = weierstrass_E(points[:, None], velocities[:, None], us, kap, lam)
+    assert excess.ravel().tolist() == [
+        float(weierstrass_E(points[i], velocities[i], us[i, j], kap, lam)) for i, j in pairs
+    ]
+    excess = weierstrass_closed(points[:, None], velocities[:, None], us, lam)
+    assert excess.ravel().tolist() == [
+        float(weierstrass_closed(points[i], velocities[i], us[i, j], lam)) for i, j in pairs
+    ]
+    form = hessian_velocity_form(circle, kap, lam, ts[:, None], us)
+    assert form.ravel().tolist() == [
+        float(hessian_velocity_form(circle, kap, lam, ts[i], us[i, j])) for i, j in pairs
+    ]
+    form = hessian_velocity_closed(circle, lam, ts[:, None], us)
+    assert form.ravel().tolist() == [
+        float(hessian_velocity_closed(circle, lam, ts[i], us[i, j])) for i, j in pairs
+    ]
 
 
 # -- Weierstrass excess -------------------------------------------------------
@@ -150,14 +170,14 @@ def test_array_checks_equal_one_t_calls_bitwise(curve, cfg_bh):
 def test_weierstrass_orthogonal_unit_example():
     # lam=-1, |xdot|=|u|=1, u orthogonal to xdot, at the disc center
     cfg = RandersConfig(0.0, VolumeForm.HOLMES_THOMPSON)
-    system = LagrangeSystem(-1.0, cfg)
-    val = weierstrass_E((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), system)
+    kap, lam = cfg.kappa, -1.0
+    val = weierstrass_E((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), kap, lam)
     assert val == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_weierstrass_tangent_scaling_gives_zero(system_half, circle_half):
     s = circle_half.eval(0.9)
-    assert weierstrass_E(s.point, s.velocity, 2.0 * s.velocity, system_half) == pytest.approx(
+    assert weierstrass_E(s.point, s.velocity, 2.0 * s.velocity, *system_half) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -165,13 +185,15 @@ def test_weierstrass_tangent_scaling_gives_zero(system_half, circle_half):
 def test_weierstrass_reversal_value(system_half, circle_half):
     s = circle_half.eval(1.3)
     speed = math.hypot(*s.velocity)
-    expect = 4.0 * system_half.lam * speed / (1.0 - 0.25)
-    assert weierstrass_E(s.point, s.velocity, -s.velocity, system_half) == pytest.approx(
+    _, lam = system_half
+    expect = 4.0 * lam * speed / (1.0 - 0.25)
+    assert weierstrass_E(s.point, s.velocity, -s.velocity, *system_half) == pytest.approx(
         expect, rel=1e-12
     )
 
 
 def test_weierstrass_defining_matches_closed_form(rng, system_half):
+    _, lam = system_half
     worst = 0.0
     for _ in range(1000):
         r = 0.9 * math.sqrt(rng.uniform(0.0, 1.0))
@@ -181,8 +203,8 @@ def test_weierstrass_defining_matches_closed_form(rng, system_half):
         u = rng.normal(size=2)
         if math.hypot(*xdot) < 1e-3 or math.hypot(*u) < 1e-3:
             continue
-        d = weierstrass_E(p, xdot, u, system_half)
-        c = weierstrass_closed(p, xdot, u, system_half)
+        d = weierstrass_E(p, xdot, u, *system_half)
+        c = weierstrass_closed(p, xdot, u, lam)
         worst = max(worst, abs(d - c) / max(1.0, abs(c)))
     assert worst <= 1e-8
 
@@ -194,59 +216,60 @@ def test_weierstrass_strictly_negative_off_tangent(system_half, circle_half):
         speed = math.hypot(*s.velocity)
         for phi in np.linspace(1e-3, TWO_PI - 1e-3, 25):
             u = speed * np.array([math.cos(base + phi), math.sin(base + phi)])
-            assert weierstrass_E(s.point, s.velocity, u, system_half) < 0.0
+            assert weierstrass_E(s.point, s.velocity, u, *system_half) < 0.0
 
 
 # -- velocity Hessian ---------------------------------------------------------
 
 def test_h1_trace_example():
     cfg = RandersConfig(0.0, VolumeForm.BUSEMANN_HAUSDORFF)
-    system = LagrangeSystem(-0.8, cfg)
-    val = h1_along(Circle(0.5), system)
+    kap, lam = cfg.kappa, -0.8
+    val = h1_along(Circle(0.5), kap, lam)
     assert val == pytest.approx(2.0 * -0.8 / (0.5 * 0.75), rel=1e-8)
     assert val < 0.0
 
 
 def test_h1_trace_frozen_value(circle_half, system_half):
-    assert h1_along(circle_half, system_half) == pytest.approx(
+    assert h1_along(circle_half, *system_half) == pytest.approx(
         FROZEN["h1_trace"], abs=1e-8 * abs(FROZEN["h1_trace"])
     )
 
 
 def test_hessian_form_normal_direction_equals_trace():
     cfg = RandersConfig(0.0, VolumeForm.BUSEMANN_HAUSDORFF)
-    system = LagrangeSystem(-0.8, cfg)
+    kap, lam = cfg.kappa, -0.8
     circle = Circle(0.5)
     # at t=0 the unit normal is (1,0); the tangential eigenvector contributes 0,
     # so the form on the normal carries the whole trace 2*lam/(a(1-a^2))
-    val = hessian_velocity_form(circle, system, 0.0, (1.0, 0.0))
+    val = hessian_velocity_form(circle, kap, lam, 0.0, (1.0, 0.0))
     assert val == pytest.approx(2.0 * -0.8 / (0.5 * 0.75), rel=1e-6)
-    assert hessian_velocity_form(circle, system, 0.0, (0.0, 1.0)) == pytest.approx(
+    assert hessian_velocity_form(circle, kap, lam, 0.0, (0.0, 1.0)) == pytest.approx(
         0.0, abs=1e-8
     )
 
 
 def test_hessian_form_matches_closed_form(rng, circle_half, system_half):
+    _, lam = system_half
     for _ in range(40):
         t = rng.uniform(0.0, TWO_PI)
         y = rng.normal(size=2)
         if math.hypot(*y) < 1e-3:
             continue
-        fd_val = hessian_velocity_form(circle_half, system_half, t, y)
-        closed = hessian_velocity_closed(circle_half, system_half, t, y)
+        fd_val = hessian_velocity_form(circle_half, *system_half, t, y)
+        closed = hessian_velocity_closed(circle_half, lam, t, y)
         assert fd_val == pytest.approx(closed, abs=1e-6 * max(1.0, abs(closed)))
 
 
 def test_hessian_form_tangential_and_zero(circle_half, system_half):
     s = circle_half.eval(0.7)
-    assert abs(hessian_velocity_form(circle_half, system_half, 0.7, s.velocity)) <= 1e-8
-    assert hessian_velocity_form(circle_half, system_half, 0.7, (0.0, 0.0)) == 0.0
+    assert abs(hessian_velocity_form(circle_half, *system_half, 0.7, s.velocity)) <= 1e-8
+    assert hessian_velocity_form(circle_half, *system_half, 0.7, (0.0, 0.0)) == 0.0
 
 
 # -- Jacobi chart -------------------------------------------------------------
 
 def test_jacobi_frozen_values(circle_half, system_half):
-    J = jacobi_coeffs(circle_half, system_half)
+    J = jacobi_coeffs(circle_half, *system_half)
     assert J.h1 == pytest.approx(FROZEN["h1_chart"], abs=1e-6)
     assert J.h2 == pytest.approx(FROZEN["h2_chart"], abs=1e-6)
     assert J.U == pytest.approx(FROZEN["U"], abs=1e-6)
@@ -255,25 +278,26 @@ def test_jacobi_frozen_values(circle_half, system_half):
 
 
 def test_jacobi_h1_consistent_with_trace(circle_half, system_half):
-    J = jacobi_coeffs(circle_half, system_half)
-    assert J.h1 == pytest.approx(h1_along(circle_half, system_half) / 0.25, abs=1e-6)
+    J = jacobi_coeffs(circle_half, *system_half)
+    assert J.h1 == pytest.approx(h1_along(circle_half, *system_half) / 0.25, abs=1e-6)
 
 
 def test_jacobi_K_oscillation(circle_half, system_half):
     # K = -2 kappa sin(2t)/(1 + a^2): not rotation invariant, unlike h1, h2, U
-    Jq = jacobi_coeffs(circle_half, system_half, math.pi / 4.0)
+    Jq = jacobi_coeffs(circle_half, *system_half, math.pi / 4.0)
     assert Jq.K == pytest.approx(FROZEN["K_quarter"], abs=1e-6)
-    J3q = jacobi_coeffs(circle_half, system_half, 3.0 * math.pi / 4.0)
+    J3q = jacobi_coeffs(circle_half, *system_half, 3.0 * math.pi / 4.0)
     assert J3q.K == pytest.approx(-FROZEN["K_quarter"], abs=1e-6)
-    amp = -2.0 * system_half.kappa / 1.25
+    kap, _ = system_half
+    amp = -2.0 * kap / 1.25
     for t in (0.3, 2.5, 4.0):
-        J = jacobi_coeffs(circle_half, system_half, t)
+        J = jacobi_coeffs(circle_half, *system_half, t)
         assert J.K == pytest.approx(amp * math.sin(2.0 * t), abs=1e-6)
 
 
 def test_jacobi_rotation_invariant_entries(circle_half, system_half):
-    Jq = jacobi_coeffs(circle_half, system_half, math.pi / 4.0)
-    J3q = jacobi_coeffs(circle_half, system_half, 3.0 * math.pi / 4.0)
+    Jq = jacobi_coeffs(circle_half, *system_half, math.pi / 4.0)
+    J3q = jacobi_coeffs(circle_half, *system_half, 3.0 * math.pi / 4.0)
     assert Jq.h1 == pytest.approx(J3q.h1, abs=1e-6)
     assert Jq.h2 == pytest.approx(J3q.h2, abs=1e-6)
     assert Jq.U == pytest.approx(J3q.U, abs=1e-6)
@@ -282,13 +306,13 @@ def test_jacobi_rotation_invariant_entries(circle_half, system_half):
 
 def test_jacobi_chart_singularity(circle_half, system_half):
     with pytest.raises(ChartSingularityError):
-        jacobi_coeffs(circle_half, system_half, math.pi / 2.0)
+        jacobi_coeffs(circle_half, *system_half, math.pi / 2.0)
 
 
 # -- conjugate scan -----------------------------------------------------------
 
 def test_conjugate_scan_no_crossing(circle_half, system_half):
-    rep = conjugate_scan(circle_half, system_half)
+    rep = conjugate_scan(circle_half, *system_half)
     assert not rep.zero_crossing
     assert rep.min_abs_D > 0.0
     assert rep.step_halving <= 1e-8
@@ -297,7 +321,7 @@ def test_conjugate_scan_no_crossing(circle_half, system_half):
 
 
 def test_conjugate_scan_frozen_determinants(circle_half, system_half):
-    rep = conjugate_scan(circle_half, system_half)
+    rep = conjugate_scan(circle_half, *system_half)
 
     def at(c):
         idx = int(round(c / TWO_PI * 512)) - 1
@@ -310,8 +334,8 @@ def test_conjugate_scan_frozen_determinants(circle_half, system_half):
 
 def test_conjugate_scan_matches_analytic_law(circle_half, system_half):
     # constant coefficients give D(c) = (U^2/h1)(c sin c + 2 cos c - 2)
-    J = jacobi_coeffs(circle_half, system_half)
-    rep = conjugate_scan(circle_half, system_half)
+    J = jacobi_coeffs(circle_half, *system_half)
+    rep = conjugate_scan(circle_half, *system_half)
     cs = rep.c_values
     law = (J.U**2 / J.h1) * (cs * np.sin(cs) + 2.0 * np.cos(cs) - 2.0)
     scale = np.max(np.abs(law))
@@ -323,7 +347,7 @@ def test_conjugate_scan_matches_analytic_law(circle_half, system_half):
 @pytest.mark.parametrize("scan_points, n_steps", [(500, 4096), (0, 4096), (1, 4096), (512, 0)])
 def test_conjugate_scan_point_validation(circle_half, system_half, scan_points, n_steps):
     with pytest.raises(DomainError):
-        conjugate_scan(circle_half, system_half, scan_points=scan_points, n_steps=n_steps)
+        conjugate_scan(circle_half, *system_half, scan_points=scan_points, n_steps=n_steps)
 
 
 def test_rk4_detects_true_crossings():
@@ -344,7 +368,7 @@ def test_conjugate_scan_consistency_guard(circle_half, system_half, monkeypatch)
 
     monkeypatch.setattr(variational, "_rk4_determinants", flaky)
     with pytest.raises(IntegrationError):
-        conjugate_scan(circle_half, system_half)
+        conjugate_scan(circle_half, *system_half)
 
 
 @pytest.mark.parametrize(
@@ -360,15 +384,15 @@ def test_conjugate_scan_consistency_guard(circle_half, system_half, monkeypatch)
 def test_conjugate_scan_constancy_guard(circle_half, system_half, monkeypatch, t_bad, field, factor):
     real = variational.jacobi_coeffs
 
-    def drifting(circle, system, t=0.0, **kw):
-        J = real(circle, system, t, **kw)
+    def drifting(circle, kap, lam, t=0.0, **kw):
+        J = real(circle, kap, lam, t, **kw)
         if t == t_bad:
             return dataclasses.replace(J, **{field: getattr(J, field) * factor})
         return J
 
     monkeypatch.setattr(variational, "jacobi_coeffs", drifting)
     with pytest.raises(NumericalError):
-        conjugate_scan(circle_half, system_half)
+        conjugate_scan(circle_half, *system_half)
 
 
 @pytest.mark.parametrize("a", [0.99, 0.995])
@@ -377,8 +401,8 @@ def test_rim_jacobi_coeffs_finite_and_scan_checked(a, b):
     # the 4th-order position stencils reach twice the step from the circle, so
     # near the rim an uncapped step leaves the disc and every D becomes NaN
     cfg = RandersConfig(b)
-    system = LagrangeSystem(lambda_for_circle(a, cfg), cfg)
-    J = jacobi_coeffs(Circle(a), system)
+    kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
+    J = jacobi_coeffs(Circle(a), kap, lam)
     assert all(math.isfinite(x) for x in (J.h1, J.h2, J.K, J.U))
     cert = build_certificate(a, cfg)
     assert math.isfinite(cert.conjugate.min_abs_D)
@@ -388,20 +412,20 @@ def test_rim_jacobi_coeffs_finite_and_scan_checked(a, b):
 # -- second variation ---------------------------------------------------------
 
 def test_second_variation_zero_probe(circle_half, system_half):
-    assert second_variation(circle_half, system_half, VariationProbe.zero()) == 0.0
+    assert second_variation(circle_half, *system_half, VariationProbe.zero()) == 0.0
 
 
 def test_second_variation_tangential_probe_excluded(circle_half, system_half):
     tang = VariationProbe.tangential(circle_half)
     assert abs(constraint_functional(circle_half, tang)) <= 1e-9
-    assert abs(second_variation(circle_half, system_half, tang)) <= 1e-5
+    assert abs(second_variation(circle_half, *system_half, tang)) <= 1e-5
 
 
 def test_second_variation_negative_on_constrained_probes(circle_half, system_half, rng):
     for _ in range(10):
         probe = project_probe(circle_half, VariationProbe.random(rng))
         assert abs(constraint_functional(circle_half, probe)) <= 1e-9
-        assert second_variation(circle_half, system_half, probe) < 0.0
+        assert second_variation(circle_half, *system_half, probe) < 0.0
 
 
 def test_projection_removes_constraint_component(circle_half, rng):
@@ -479,20 +503,40 @@ def test_certificate_propagates_programming_errors(cfg_bh, monkeypatch):
 
 
 def test_certificate_nan_weierstrass_sample_fails(cfg_bh, monkeypatch):
-    calls = {"n": 0}
+    shapes = []
     real = variational.weierstrass_E
 
     def one_nan(*args, **kwargs):
-        calls["n"] += 1
-        return math.nan if calls["n"] == 7 else real(*args, **kwargs)
+        excess = real(*args, **kwargs)
+        shapes.append(excess.shape)
+        excess[7, 60] = math.nan
+        return excess
 
     monkeypatch.setattr(variational, "weierstrass_E", one_nan)
     cert = build_certificate(0.5, cfg_bh)
-    assert calls["n"] > 7
+    assert shapes == [(16, 120)]
     assert not cert.passed
     assert math.isnan(cert.weierstrass_max)
     assert cert.to_json_dict()["weierstrass_max"] is None
     assert "condition failed: weierstrass" in cert.notes
+
+
+def test_certificate_samples_each_check_in_one_call(cfg_bh, monkeypatch):
+    calls = {"weierstrass_E": 0, "hessian_velocity_form": 0}
+
+    def counted(name):
+        real = getattr(variational, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(variational, name, counted(name))
+    assert build_certificate(0.5, cfg_bh).passed
+    assert calls == {"weierstrass_E": 1, "hessian_velocity_form": 1}
 
 
 def test_certificate_json_shape(cfg_bh):
