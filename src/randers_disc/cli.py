@@ -22,40 +22,40 @@ from .curves import Circle
 from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid, area, length
 from .isoperimetry import PerturbationSpec, deficit_value, run_trials
-from .metric import beta_covector, disc_grid, potential, yasuda_shimada_residual
+from .metric import check_metric
 from .variational import (
+    CERT_TOL,
+    N_PROBES,
+    SCAN_POINTS,
+    SCAN_STEPS,
     build_certificate,
     conjugate_scan,
     lambda_for_circle,
 )
-from . import fd
-
-_YS_FLOOR = 0.1        # non-flatness floor for the max Yasuda-Shimada entry
-_NORM_TOL = 1e-12      # drift one-form norm deviation allowed on the grid
-_GRAD_TOL = 1e-8       # potential-gradient mismatch allowed (central differences)
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Parsed flags.
 
-    These field defaults are the only copy of the CLI defaults: argparse
-    leaves an unset flag at None, and main drops None values.
+    argparse leaves an unset flag at None and main drops None values, so
+    these field defaults apply. The values the library also uses are read
+    from it; the rest are the only copy.
     """
 
     command: str
     a: float = 0.5
     b: float = 0.0
     form: str = "bh"
-    n: int = 1024
-    tol: float = 1e-6
-    trials: int = 200
-    epsilon: float = 0.05
-    harmonics: int = 4
-    seed: int = 42
-    probes: int = 50
-    scan_points: int = 512
-    scan_steps: int = 4096
+    n: int = QuadratureGrid.n
+    tol: float = CERT_TOL
+    trials: int = PerturbationSpec.count
+    epsilon: float = PerturbationSpec.epsilon
+    harmonics: int = PerturbationSpec.harmonics
+    seed: int = PerturbationSpec.seed
+    probes: int = N_PROBES
+    scan_points: int = SCAN_POINTS
+    scan_steps: int = SCAN_STEPS
     a_min: float = 0.1
     a_max: float = 0.9
     a_count: int = 9
@@ -65,6 +65,9 @@ class RunConfig:
         for name, value in dataclasses.asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        # checked before any computation, so a long run cannot end in a failed write
+        if self.output and not os.path.isdir(os.path.dirname(os.path.abspath(self.output))):
+            raise DomainError(f"--output directory does not exist: {self.output}")
 
     def echo(self) -> dict:
         # the output path plays no part in the computation; leaving it out
@@ -158,44 +161,7 @@ def cmd_conjugate(cfg: RunConfig) -> int:
 
 def cmd_check_metric(cfg: RunConfig) -> int:
     rc = RandersConfig(cfg.b, cfg.form)
-    points = disc_grid()
-    norm_dev = 0.0
-    grad_dev = 0.0
-    for p in points:
-        beta = beta_covector(p, rc)
-        s = 1.0 - float(p @ p)
-        alpha_norm_beta = 0.5 * s * math.hypot(beta[0], beta[1])
-        norm_dev = max(norm_dev, abs(alpha_norm_beta - rc.b))
-        for i in range(2):
-            def f_along(h: float, i=i, p=p) -> float:
-                q = p.copy()
-                q[i] += h
-                return potential(q, rc)
-
-            grad_i = fd.d1_central(f_along, 0.0, 1e-6)
-            grad_dev = max(grad_dev, abs(grad_i - beta[i]))
-    norm_ok = norm_dev <= _NORM_TOL
-    grad_ok = grad_dev <= _GRAD_TOL
-    if rc.b == 0.0:
-        ys_max = None
-        ys_note = "skipped (Riemannian case)"
-        ys_ok = True
-    else:
-        ys_max = max(
-            float(np.max(np.abs(yasuda_shimada_residual(p, rc)))) for p in points
-        )
-        ys_note = f"max residual entry over {len(points)} grid points"
-        ys_ok = ys_max > _YS_FLOOR
-    doc = {
-        "config": cfg.echo(),
-        "b": rc.b,
-        "form": rc.form.value,
-        "norm_deviation_max": norm_dev,
-        "gradient_mismatch_max": grad_dev,
-        "yasuda_shimada_max": ys_max,
-        "yasuda_shimada_note": ys_note,
-        "pass": bool(norm_ok and grad_ok and ys_ok),
-    }
+    doc = {"config": cfg.echo(), "b": rc.b, "form": rc.form.value, **check_metric(rc)}
     _emit(cfg, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if doc["pass"] else 1
 
@@ -233,7 +199,7 @@ _DISPATCH = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser, *, need_a: bool, need_form: bool) -> None:
+def _add_common(sp: argparse.ArgumentParser, *, need_a: bool, need_form: bool, reads: tuple[str, ...]) -> None:
     if need_a:
         sp.add_argument("--a", type=float, help="circle radius in (0, 1)")
     sp.add_argument("--b", type=float, help="drift strength, 0 <= b < 1")
@@ -243,9 +209,13 @@ def _add_common(sp: argparse.ArgumentParser, *, need_a: bool, need_form: bool) -
         required=need_form,
         help="volume form",
     )
-    sp.add_argument("--n", type=int, help="quadrature nodes (power of two >= 256)")
-    sp.add_argument("--tol", type=float, help="verification tolerance")
-    sp.add_argument("--seed", type=int, help="random seed")
+    # only the flags the subcommand reads, so an ignored one is a usage error
+    if "n" in reads:
+        sp.add_argument("--n", type=int, help="quadrature nodes (power of two >= 256)")
+    if "tol" in reads:
+        sp.add_argument("--tol", type=float, help="verification tolerance")
+    if "seed" in reads:
+        sp.add_argument("--seed", type=int, help="random seed")
     sp.add_argument("--output", type=str, help="write the report to this path")
 
 
@@ -257,27 +227,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("certificate", help="run all sufficiency checks for one circle")
-    _add_common(sp, need_a=True, need_form=True)
+    _add_common(sp, need_a=True, need_form=True, reads=("n", "tol", "seed"))
     sp.add_argument("--probes", type=int, help="random second-variation probes")
     sp.add_argument("--scan-points", type=int, help="conjugate scan sample count")
     sp.add_argument("--scan-steps", type=int, help="conjugate scan ODE steps")
 
     sp = sub.add_parser("perturb", help="length-matched perturbation trials")
-    _add_common(sp, need_a=True, need_form=True)
+    _add_common(sp, need_a=True, need_form=True, reads=("n", "seed"))
     sp.add_argument("--trials", type=int, help="number of perturbations")
     sp.add_argument("--epsilon", type=float, help="coefficient scale")
     sp.add_argument("--harmonics", type=int, help="max perturbation harmonic")
 
     sp = sub.add_parser("conjugate", help="Jacobi determinant scan over one period")
-    _add_common(sp, need_a=True, need_form=True)
+    _add_common(sp, need_a=True, need_form=True, reads=())
     sp.add_argument("--scan-points", type=int, help="conjugate scan sample count")
     sp.add_argument("--scan-steps", type=int, help="conjugate scan ODE steps")
 
     sp = sub.add_parser("check-metric", help="drift norm, potential gradient, flag-curvature residual")
-    _add_common(sp, need_a=False, need_form=False)
+    _add_common(sp, need_a=False, need_form=False, reads=())
 
     sp = sub.add_parser("deficit-sweep", help="isoperimetric deficit of circles over a radius grid")
-    _add_common(sp, need_a=False, need_form=False)
+    _add_common(sp, need_a=False, need_form=False, reads=("n", "tol"))
     sp.add_argument("--a-min", type=float, help="sweep start radius")
     sp.add_argument("--a-max", type=float, help="sweep end radius")
     sp.add_argument("--a-count", type=int, help="sweep point count")

@@ -15,6 +15,9 @@ from .errors import AdmissibilityError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
+_ADMISSIBLE_GRID = 4096     # uniform samples of t in the admissibility check
+_ADMISSIBLE_MARGIN = 1e-9   # distance kept from the origin, the rim and zero speed
+
 
 def reduce_parameter(t: float) -> float:
     """Map t into [0, 2*pi); exact for exact multiples (fmod is exact)."""
@@ -129,17 +132,16 @@ class PolarFourierCurve(_PolarCurve):
         }
 
 
-def check_admissible(curve: _PolarCurve, grid_size: int = 4096, margin: float = 1e-9) -> bool:
+def check_admissible(curve: _PolarCurve) -> bool:
     """True iff r(t) in (margin, 1 - margin) and |velocity| > margin on the grid."""
-    if grid_size < 64:
-        raise DomainError(f"admissibility grid must have at least 64 points, got {grid_size}")
-    ts = TWO_PI * np.arange(grid_size) / grid_size
+    ts = TWO_PI * np.arange(_ADMISSIBLE_GRID) / _ADMISSIBLE_GRID
     r, rd = curve.radius_batch(ts)
+    margin = _ADMISSIBLE_MARGIN
     if not (np.all(r > margin) and np.all(r < 1.0 - margin)):
         return False
     return bool(np.all(r * r + rd * rd > margin * margin))
 
 
-def require_admissible(curve: _PolarCurve, grid_size: int = 4096, margin: float = 1e-9) -> None:
-    if not check_admissible(curve, grid_size, margin):
+def require_admissible(curve: _PolarCurve) -> None:
+    if not check_admissible(curve):
         raise AdmissibilityError(f"curve {curve!r} leaves the admissible polar-graph class")

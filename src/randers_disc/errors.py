@@ -23,10 +23,6 @@ class AdmissibilityError(VerificationError):
     """Curve leaves the disc, collapses toward the origin, or loses speed."""
 
 
-class QuadratureError(VerificationError):
-    """Quadrature self-estimate exceeded the requested tolerance."""
-
-
 class NumericalError(VerificationError):
     """A finite-difference or linear-algebra step produced unusable output."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RandersConfig
 from .curves import TWO_PI, _PolarCurve, require_admissible
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,12 +69,7 @@ def signed_area_integrand(points: np.ndarray, velocities: np.ndarray) -> np.ndar
     return 2.0 * cross / (1.0 - r2)
 
 
-def length(
-    curve: _PolarCurve,
-    cfg: RandersConfig,
-    grid: QuadratureGrid = QuadratureGrid(),
-    tolerance: float | None = None,
-) -> FunctionalValue:
+def length(curve: _PolarCurve, cfg: RandersConfig, grid: QuadratureGrid = QuadratureGrid()) -> FunctionalValue:
     """Randers length over one period.
 
     The drift one-form is exact, so for closed curves its contribution
@@ -84,23 +79,14 @@ def length(
     require_admissible(curve)
     points, velocities = curve.batch(grid.nodes)
     value, est = _periodic_integral(length_integrand(points, velocities, cfg))
-    if tolerance is not None and est > tolerance:
-        raise QuadratureError(f"length estimate error {est:.3e} exceeds tolerance {tolerance:.3e}")
     return FunctionalValue(value, est)
 
 
-def area(
-    curve: _PolarCurve,
-    cfg: RandersConfig,
-    grid: QuadratureGrid = QuadratureGrid(),
-    tolerance: float | None = None,
-) -> FunctionalValue:
+def area(curve: _PolarCurve, cfg: RandersConfig, grid: QuadratureGrid = QuadratureGrid()) -> FunctionalValue:
     """Enclosed area under cfg.form: kappa(form, b) times the shared Green integral."""
     require_admissible(curve)
     points, velocities = curve.batch(grid.nodes)
     base, est = _periodic_integral(signed_area_integrand(points, velocities))
-    if tolerance is not None and est > tolerance:
-        raise QuadratureError(f"area estimate error {est:.3e} exceeds tolerance {tolerance:.3e}")
     kap = cfg.kappa
     return FunctionalValue(kap * base, kap * est)
 

@@ -23,6 +23,14 @@ _LAMBDA_YS = 2.0
 # the drift covector direction x/r is not continuous at the origin
 _ORIGIN_RADIUS = 1e-15
 
+_TENSOR_REL_STEP = 1e-4   # velocity step of fundamental_tensor, relative to |v|
+_POSITION_STEP = 1e-6     # point step of the covector Jacobian and the potential gradient
+
+# check_metric thresholds
+_YS_FLOOR = 0.1        # non-flatness floor for the max Yasuda-Shimada entry
+_NORM_TOL = 1e-12      # drift one-form norm deviation allowed on the grid
+_GRAD_TOL = 1e-8       # potential-gradient mismatch allowed (central differences)
+
 
 def _as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float)
@@ -126,15 +134,15 @@ class FundamentalTensor:
         return float(w @ self.matrix @ w)
 
 
-def fundamental_tensor(p, v, cfg: RandersConfig, rel_step: float = 1e-4) -> FundamentalTensor:
-    """Velocity Hessian of F^2/2 by central differences at step rel_step*|v|.
+def fundamental_tensor(p, v, cfg: RandersConfig) -> FundamentalTensor:
+    """Velocity Hessian of F^2/2 by central differences at step 1e-4*|v|.
 
     Validated by the contraction identity v^i v^j g_ij = F^2; positive
     definiteness is checked and a failure signals step misconfiguration.
     """
     q = _as_point(p)
     w = _as_vector(v)
-    h = rel_step * math.hypot(w[0], w[1])
+    h = _TENSOR_REL_STEP * math.hypot(w[0], w[1])
 
     def half_f2(v1: float, v2: float) -> float:
         val = finsler_norm(q, (v1, v2), cfg)
@@ -150,7 +158,7 @@ def fundamental_tensor(p, v, cfg: RandersConfig, rel_step: float = 1e-4) -> Fund
     return FundamentalTensor(g11, g12, g22)
 
 
-def yasuda_shimada_residual(p, cfg: RandersConfig, step: float = 1e-6) -> np.ndarray:
+def yasuda_shimada_residual(p, cfg: RandersConfig) -> np.ndarray:
     """Residual R_ij = db_i/dx^j - b_k gamma^k_ij - 2 (a_ij - b_i b_j).
 
     A nonzero matrix certifies that the metric does not have constant
@@ -168,8 +176,8 @@ def yasuda_shimada_residual(p, cfg: RandersConfig, step: float = 1e-6) -> np.nda
     jac = np.empty((2, 2))
     for j in range(2):
         e = np.zeros(2)
-        e[j] = step
-        jac[:, j] = (beta_covector(q + e, cfg) - beta_covector(q - e, cfg)) / (2.0 * step)
+        e[j] = _POSITION_STEP
+        jac[:, j] = (beta_covector(q + e, cfg) - beta_covector(q - e, cfg)) / (2.0 * _POSITION_STEP)
 
     bcov = beta_covector(q, cfg)
     gam = christoffel(q)
@@ -178,9 +186,51 @@ def yasuda_shimada_residual(p, cfg: RandersConfig, step: float = 1e-6) -> np.nda
     return jac - bcov[0] * gam.gamma1 - bcov[1] * gam.gamma2 - _LAMBDA_YS * (a_ij - np.outer(bcov, bcov))
 
 
-def disc_grid(n_radii: int = 10, n_angles: int = 20, r_min: float = 0.1, r_max: float = 0.9) -> np.ndarray:
-    """Deterministic (n_radii*n_angles, 2) sample grid; angle 0 keeps axis points."""
-    radii = np.linspace(r_min, r_max, n_radii)
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+def disc_grid() -> np.ndarray:
+    """Deterministic (200, 2) sample grid: 10 radii in [0.1, 0.9] times 20
+    angles; angle 0 keeps axis points."""
+    radii = np.linspace(0.1, 0.9, 10)
+    angles = 2.0 * np.pi * np.arange(20) / 20
     rr, aa = np.meshgrid(radii, angles, indexing="ij")
     return np.column_stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()])
+
+
+def check_metric(cfg: RandersConfig) -> dict:
+    """Worst deviations over disc_grid: the drift's alpha-norm from b, and
+    beta from df; and the metric is not of constant flag curvature.
+
+    Keys: norm_deviation_max, gradient_mismatch_max, yasuda_shimada_max
+    (None when b = 0, where that test degenerates and is skipped),
+    yasuda_shimada_note and pass.
+    """
+    points = disc_grid()
+    norm_dev = 0.0
+    grad_dev = 0.0
+    for p in points:
+        beta = beta_covector(p, cfg)
+        s = 1.0 - float(p @ p)
+        alpha_norm_beta = 0.5 * s * math.hypot(beta[0], beta[1])
+        norm_dev = max(norm_dev, abs(alpha_norm_beta - cfg.b))
+        for i in range(2):
+            def f_along(h: float, i=i, p=p) -> float:
+                q = p.copy()
+                q[i] += h
+                return potential(q, cfg)
+
+            grad_i = fd.d1_central(f_along, 0.0, _POSITION_STEP)
+            grad_dev = max(grad_dev, abs(grad_i - beta[i]))
+    if cfg.b == 0.0:
+        ys_max = None
+        ys_note = "skipped (Riemannian case)"
+        ys_ok = True
+    else:
+        ys_max = max(float(np.max(np.abs(yasuda_shimada_residual(p, cfg)))) for p in points)
+        ys_note = f"max residual entry over {len(points)} grid points"
+        ys_ok = ys_max > _YS_FLOOR
+    return {
+        "norm_deviation_max": norm_dev,
+        "gradient_mismatch_max": grad_dev,
+        "yasuda_shimada_max": ys_max,
+        "yasuda_shimada_note": ys_note,
+        "pass": bool(norm_dev <= _NORM_TOL and grad_dev <= _GRAD_TOL and ys_ok),
+    }

@@ -35,6 +35,22 @@ from . import fd
 
 _CHART_COS_MIN = 0.1          # |xdot2|/a floor for the x1-variation chart
 _TANGENT_CONE = 1e-3          # rad; excess/Hessian equality cone around the tangent
+_TIME_STEP = 1e-5             # central-difference step in t for d/dt in EL and normality
+_HESS_REL_STEP = 2e-3         # velocity step of the 5-point Hessians, relative to the speed a
+_MIXED_STEP = 5e-3            # Jacobi position step, before the rim cap
+_RATE_STEP = 1e-2             # Jacobi step in t for d/dt K
+_ZERO_REL_TOL = 1e-10         # |D| below this fraction of max |D| counts as a zero
+_MIN_GAP = 0.05               # the |D| floor skips c within this of 0 and 2*pi
+_CONSISTENCY_TOL = 1e-8       # allowed relative change of D under step halving
+_BLOCK_STEP_X = 1e-5          # position step of hessian_blocks
+_BLOCK_REL_STEP_V = 1e-4      # velocity step of hessian_blocks, relative to a
+_T_SAMPLES = 64               # certificate samples of t for the EL and normality checks
+
+# defaults of build_certificate and conjugate_scan, which the CLI reads too
+CERT_TOL = 1e-6               # EL residual ceiling and normality floor
+N_PROBES = 50                 # random second-variation probes
+SCAN_POINTS = 512             # conjugate scan samples of c
+SCAN_STEPS = 4096             # conjugate scan RK4 steps over one period
 
 
 def lagrangian(x1, x2, v1, v2, kap: float, lam: float):
@@ -59,7 +75,7 @@ def _dg_drdot(curve: _PolarCurve, ts) -> np.ndarray:
     return 2.0 * rd / (np.hypot(r, rd) * (1.0 - r * r))
 
 
-def _el_parts(curve: _PolarCurve, ts, kap: float, time_step: float) -> tuple[np.ndarray, np.ndarray]:
+def _el_parts(curve: _PolarCurve, ts, kap: float) -> tuple[np.ndarray, np.ndarray]:
     """Residual = f_part + lam * g_part, both analytic except d/dt by differences."""
     ts = np.asarray(ts, dtype=float)
     r, rd = curve.radius_batch(ts)
@@ -67,25 +83,20 @@ def _el_parts(curve: _PolarCurve, ts, kap: float, time_step: float) -> tuple[np.
     w = np.hypot(r, rd)
     f_part = 4.0 * kap * r / (s * s)
     g_r = 2.0 * r / (w * s) + 4.0 * r * w / (s * s)
-    dt_term = fd.d1_central(lambda u: _dg_drdot(curve, u), ts, time_step)
+    dt_term = fd.d1_central(lambda u: _dg_drdot(curve, u), ts, _TIME_STEP)
     return f_part, g_r - dt_term
 
 
-def el_residual(curve: _PolarCurve, kap: float, lam: float, t, time_step: float = 1e-5) -> np.ndarray:
+def el_residual(curve: _PolarCurve, kap: float, lam: float, t) -> np.ndarray:
     """Polar Euler-Lagrange residual dh/dr - d/dt dh/drdot at parameter(s) t."""
-    f_part, g_part = _el_parts(curve, t, kap, time_step)
+    f_part, g_part = _el_parts(curve, t, kap)
     return f_part + lam * g_part
 
 
-def solve_lambda_numeric(
-    a: float,
-    cfg: RandersConfig,
-    grid: QuadratureGrid = QuadratureGrid(),
-    time_step: float = 1e-5,
-) -> float:
+def solve_lambda_numeric(a: float, cfg: RandersConfig) -> float:
     """Least-squares multiplier: the residual is affine in lam, so minimizing
     its L2 norm along the circle is one linear solve."""
-    fs, gs = _el_parts(Circle(a), grid.nodes, cfg.kappa, time_step)
+    fs, gs = _el_parts(Circle(a), QuadratureGrid().nodes, cfg.kappa)
     denom = float(gs @ gs)
     if denom <= 0.0:
         raise NumericalError("multiplier system is singular: zero constraint response")
@@ -102,11 +113,11 @@ def _g_gradients(points: np.ndarray, velocities: np.ndarray) -> tuple[np.ndarray
     return 4.0 * points * speed / (s * s), 2.0 * velocities / (s * speed)
 
 
-def normality(curve: _PolarCurve, t, time_step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+def normality(curve: _PolarCurve, t) -> tuple[np.ndarray, np.ndarray]:
     """(P1, P2) = g_x - d/dt g_v for the length constraint; must never both vanish."""
     t = np.asarray(t, dtype=float)
     gx, _ = _g_gradients(*curve.batch(t))
-    p = gx - fd.d1_central(lambda u: _g_gradients(*curve.batch(u))[1], t, time_step)
+    p = gx - fd.d1_central(lambda u: _g_gradients(*curve.batch(u))[1], t, _TIME_STEP)
     return p[..., 0], p[..., 1]
 
 
@@ -148,7 +159,7 @@ def weierstrass_closed(p, xdot, u, lam: float) -> np.ndarray:
 
 # -- velocity Hessian of h ------------------------------------------------------
 
-def h1_along(circle: Circle, kap: float, lam: float, t: float = 0.0, rel_step: float = 2e-3) -> float:
+def h1_along(circle: Circle, kap: float, lam: float, t: float = 0.0) -> float:
     """Velocity-Hessian trace h_v1v1 + h_v2v2 at (gamma(t), gamma'(t)).
 
     Along an extremal circle this equals 2 lam/(a (1 - a^2)), the scalar whose
@@ -158,13 +169,13 @@ def h1_along(circle: Circle, kap: float, lam: float, t: float = 0.0, rel_step: f
     sample = circle.eval(t)
     x1, x2 = sample.point
     v1, v2 = sample.velocity
-    step = rel_step * circle.a
+    step = _HESS_REL_STEP * circle.a
     t11 = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_, v2, kap, lam), 0.0, step)
     t22 = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1, v2 + s_, kap, lam), 0.0, step)
     return t11 + t22
 
 
-def hessian_velocity_form(circle: Circle, kap: float, lam: float, t, y, rel_step: float = 2e-3) -> np.ndarray:
+def hessian_velocity_form(circle: Circle, kap: float, lam: float, t, y) -> np.ndarray:
     """Quadratic form sum h_{v^i v^j} y^i y^j at (gamma(t), gamma'(t)).
 
     Evaluated as one directional second derivative along y; vanishes iff y
@@ -176,7 +187,7 @@ def hessian_velocity_form(circle: Circle, kap: float, lam: float, t, y, rel_step
     points, velocities = circle.batch(t)
     x1, x2 = _components(points)
     v1, v2 = _components(velocities)
-    step = rel_step * circle.a / np.where(nonzero, ny, 1.0)
+    step = _HESS_REL_STEP * circle.a / np.where(nonzero, ny, 1.0)
     form = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_ * y1, v2 + s_ * y2, kap, lam), 0.0, step)
     return np.where(nonzero, form, 0.0)
 
@@ -207,19 +218,11 @@ class JacobiCoefficients:
     U: float
 
 
-def jacobi_coeffs(
-    circle: Circle,
-    kap: float,
-    lam: float,
-    t: float = 0.0,
-    hess_rel_step: float = 2e-3,
-    mixed_step: float = 5e-3,
-    rate_step: float = 1e-2,
-) -> JacobiCoefficients:
+def jacobi_coeffs(circle: Circle, kap: float, lam: float, t: float = 0.0) -> JacobiCoefficients:
     """Chart coefficients at parameter t (requires |cos t| >= 0.1).
 
     The rate d/dt K is taken with a wide 4th-order stencil (offsets up to
-    2*rate_step), so t should sit away from the chart edge by that much.
+    2*_RATE_STEP = 0.02), so t should sit away from the chart edge by that much.
     The position step is capped at a quarter of the rim distance 1 - a, so the
     4th-order stencils (offsets up to twice the step) stay inside the disc.
     """
@@ -228,8 +231,8 @@ def jacobi_coeffs(
             f"x1-chart is degenerate near t={t} (|cos t| < {_CHART_COS_MIN})"
         )
     a = circle.a
-    hv = hess_rel_step * a
-    hx = min(mixed_step, 0.25 * (1.0 - a))
+    hv = _HESS_REL_STEP * a
+    hx = min(_MIXED_STEP, 0.25 * (1.0 - a))
     hvm = hx * a
 
     def kinematics(tau: float) -> list[float]:
@@ -250,7 +253,7 @@ def jacobi_coeffs(
     x1, x2, v1, v2 = kinematics(t)
     h1 = h_v1v1(x1, x2, v1, v2) / (v2 * v2)
     K = K_at(t)
-    dK = fd.d1_4th(K_at, t, rate_step)
+    dK = fd.d1_4th(K_at, t, _RATE_STEP)
     h_x1x1 = fd.d2_5pt(lambda s_: lagrangian(x1 + s_, x2, v1, v2, kap, lam), 0.0, hx)
     h2 = (h_x1x1 - x2 * x2 * h1 - dK) / (v2 * v2)
 
@@ -315,16 +318,13 @@ def conjugate_scan(
     circle: Circle,
     kap: float,
     lam: float,
-    scan_points: int = 512,
-    n_steps: int = 4096,
-    zero_rel_tol: float = 1e-10,
-    min_gap: float = 0.05,
-    consistency_tol: float = 1e-8,
+    scan_points: int = SCAN_POINTS,
+    n_steps: int = SCAN_STEPS,
 ) -> ConjugateScanReport:
     """Scan D(0, c) for c in (0, 2*pi] and flag interior zeros or sign changes.
 
     D vanishes exactly at c = 2*pi (the rotation-neutral Jacobi field), and to
-    fourth order at the scan start, so the |D| floor is only applied min_gap
+    fourth order at the scan start, so the |D| floor is only applied _MIN_GAP
     away from both ends; sign changes are checked on all interior pairs.
     A single scan point is c = 2*pi itself, so at least two are required.
     """
@@ -350,17 +350,17 @@ def conjugate_scan(
     if scale == 0.0:
         raise NumericalError("degenerate scan: D vanishes identically")
     step_halving = float(np.max(np.abs(Ds - Ds_half))) / scale
-    if step_halving > consistency_tol:
+    if step_halving > _CONSISTENCY_TOL:
         raise IntegrationError(
-            f"step-halving changed D by {step_halving:.3e} relative (tol {consistency_tol:.1e})"
+            f"step-halving changed D by {step_halving:.3e} relative (tol {_CONSISTENCY_TOL:.1e})"
         )
 
     interior = Ds[:-1]
     sign_change = bool(np.any(interior[:-1] * interior[1:] < 0.0))
-    gap_mask = (cs[:-1] >= min_gap) & (cs[:-1] <= TWO_PI - min_gap)
+    gap_mask = (cs[:-1] >= _MIN_GAP) & (cs[:-1] <= TWO_PI - _MIN_GAP)
     gapped = np.abs(interior[gap_mask])
     min_abs = float(gapped.min())
-    small = bool(np.any(gapped < zero_rel_tol * scale))
+    small = bool(np.any(gapped < _ZERO_REL_TOL * scale))
     return ConjugateScanReport(
         coeffs=coeffs,
         c_values=cs,
@@ -491,24 +491,16 @@ def project_probe(
     return VariationProbe.from_vector(vec - (float(ell @ vec) / norm2) * ell)
 
 
-def hessian_blocks(
-    a: float,
-    kap: float,
-    lam: float,
-    ts: np.ndarray,
-    hx: float = 1e-5,
-    hv: float | None = None,
-) -> np.ndarray:
+def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarray:
     """All second partials of h along the circle, shape (4, 4, len(ts)).
 
     Argument order (x1, x2, v1, v2); central differences, vectorized over
     nodes.  Probe-independent, so certificates compute this once.
     """
-    if hv is None:
-        hv = 1e-4 * a
     points, velocities = Circle(a).batch(ts)
     base_args = [*points.T, *velocities.T]
-    steps = [hx, hx, hv, hv]
+    hv = _BLOCK_REL_STEP_V * a
+    steps = [_BLOCK_STEP_X, _BLOCK_STEP_X, hv, hv]
 
     def h_at(shift: list[int]) -> np.ndarray:
         w = [base_args[i] + shift[i] * steps[i] for i in range(4)]
@@ -628,13 +620,12 @@ def _direction_samples(velocity, magnitudes=(0.5, 1.0, 2.0), n_angles: int = 40)
 def build_certificate(
     a: float,
     cfg: RandersConfig,
-    tol: float = 1e-6,
+    tol: float = CERT_TOL,
     grid: QuadratureGrid = QuadratureGrid(),
-    n_probes: int = 50,
+    n_probes: int = N_PROBES,
     probe_seed: int = 42,
-    scan_points: int = 512,
-    scan_steps: int = 4096,
-    t_samples: int = 64,
+    scan_points: int = SCAN_POINTS,
+    scan_steps: int = SCAN_STEPS,
     lambda_override: float | None = None,
 ) -> ExtremalityCertificate:
     """Run all five sufficiency checks for the circle of radius a.
@@ -642,8 +633,8 @@ def build_certificate(
     A check whose numerics fail (a VerificationError) is recorded as failed,
     with a note and a NaN field; any other exception propagates.
     """
-    if n_probes < 1 or t_samples < 1:
-        raise DomainError(f"need n_probes >= 1 and t_samples >= 1, got {n_probes} and {t_samples}")
+    if n_probes < 1:
+        raise DomainError(f"need n_probes >= 1, got {n_probes}")
     if probe_seed < 0:
         raise DomainError(f"probe seed must be nonnegative, got {probe_seed}")
     circle = Circle(a)
@@ -652,8 +643,8 @@ def build_certificate(
     notes = ["second variation probed on a finite trigonometric basis (harmonics <= 6)"]
     if lambda_override is not None:
         notes.append(f"lambda overridden to {lam}")
-    ts = np.linspace(0.0, TWO_PI, t_samples, endpoint=False)
-    sample_ts = ts[:: max(1, t_samples // 16)]
+    ts = np.linspace(0.0, TWO_PI, _T_SAMPLES, endpoint=False)
+    sample_ts = ts[:: _T_SAMPLES // 16]
     points, velocities = circle.batch(sample_ts)
 
     def guarded(name: str, check, failed=math.nan):

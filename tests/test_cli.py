@@ -8,8 +8,20 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 from referencing import Registry, Resource
 
-from randers_disc import DomainError, RandersConfig, VerificationError, circle_closed_forms, cli, errors
+from randers_disc import (
+    DomainError,
+    PerturbationSpec,
+    QuadratureGrid,
+    RandersConfig,
+    VerificationError,
+    build_certificate,
+    circle_closed_forms,
+    cli,
+    conjugate_scan,
+    errors,
+)
 from randers_disc.cli import main
+from randers_disc.metric import check_metric
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -70,15 +82,25 @@ def test_sweep_range_validation(capsys, tmp_path):
     capsys.readouterr()
 
 
+CIRCLE = ["--a", "0.5", "--b", "0.3", "--form", "bh"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certificate", "--probes", "0"],
-        ["certificate", "--scan-points", "500"],
-        ["certificate", "--scan-steps", "0"],
-        ["conjugate", "--scan-points", "0"],
-        ["certificate", "--seed", "-1"],
-        ["perturb", "--seed", "-1"],
+        ["certificate", *CIRCLE, "--probes", "0"],
+        ["certificate", *CIRCLE, "--scan-points", "500"],
+        ["certificate", *CIRCLE, "--scan-steps", "0"],
+        ["conjugate", *CIRCLE, "--scan-points", "0"],
+        ["certificate", *CIRCLE, "--seed", "-1"],
+        ["perturb", *CIRCLE, "--seed", "-1"],
+        # flags a subcommand would not read are not accepted
+        ["conjugate", *CIRCLE, "--tol", "-5"],
+        ["conjugate", *CIRCLE, "--n", "512"],
+        ["perturb", *CIRCLE, "--tol", "1e-3"],
+        ["check-metric", "--b", "0.5", "--tol", "1e300"],
+        ["check-metric", "--b", "0.5", "--seed", "1"],
+        ["deficit-sweep", "--b", "0.3", "--seed", "1"],
     ],
     ids=[
         "probes-0",
@@ -87,10 +109,16 @@ def test_sweep_range_validation(capsys, tmp_path):
         "conjugate-scan-points-0",
         "certificate-seed--1",
         "perturb-seed--1",
+        "conjugate-tol",
+        "conjugate-n",
+        "perturb-tol",
+        "check-metric-tol",
+        "check-metric-seed",
+        "deficit-sweep-seed",
     ],
 )
 def test_vacuous_sizes_are_usage_errors(argv, capsys, tmp_path):
-    rc, out = run(argv[:1] + ["--a", "0.5", "--b", "0.3", "--form", "bh"] + argv[1:], tmp_path)
+    rc, out = run(argv, tmp_path)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
@@ -116,6 +144,31 @@ def test_non_finite_floats_are_usage_errors(argv, capsys, monkeypatch, tmp_path)
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_missing_output_directory_is_usage_error(capsys, monkeypatch, tmp_path):
+    def computed(cfg):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._DISPATCH, "check-metric", computed)
+    rc = main(["check-metric", "--b", "0.5", "--output", str(tmp_path / "no" / "such" / "m.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --output directory does not exist")
+    assert not (tmp_path / "no").exists()
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg = cli.RunConfig("certificate")
+    cert = inspect.signature(build_certificate).parameters
+    scan = inspect.signature(conjugate_scan).parameters
+    spec = PerturbationSpec()
+    assert cfg.n == QuadratureGrid().n == cert["grid"].default.n
+    assert cfg.tol == cert["tol"].default
+    assert (cfg.trials, cfg.epsilon, cfg.harmonics) == (spec.count, spec.epsilon, spec.harmonics)
+    assert cfg.seed == spec.seed == cert["probe_seed"].default
+    assert cfg.probes == cert["n_probes"].default
+    assert cfg.scan_points == cert["scan_points"].default == scan["scan_points"].default
+    assert cfg.scan_steps == cert["scan_steps"].default == scan["n_steps"].default
 
 
 ERROR_CLASSES = [
@@ -220,6 +273,15 @@ def test_check_metric_schema_and_bounds(tmp_path):
     assert doc["norm_deviation_max"] <= 1e-12
     assert doc["gradient_mismatch_max"] <= 1e-8
     assert doc["yasuda_shimada_max"] > 0.1
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_check_metric_document_is_the_library_check(b, tmp_path):
+    rc, out = run(["check-metric", "--b", str(b)], tmp_path, "m.json")
+    doc = json.loads(out.read_text())
+    check = check_metric(RandersConfig(b))
+    assert rc == (0 if check["pass"] else 1)
+    assert {k: doc[k] for k in check} == check
 
 
 def test_check_metric_riemannian_skips_curvature_check(tmp_path):

@@ -101,8 +101,6 @@ def test_admissibility_cases():
     assert not check_admissible(PolarFourierCurve(0.95, (0.1,), (0.0,)))
     with pytest.raises(AdmissibilityError):
         require_admissible(PolarFourierCurve(0.5, (0.6,), (0.0,)))
-    with pytest.raises(DomainError):
-        check_admissible(Circle(0.5), grid_size=32)
 
 
 def test_degenerate_curve_eval_raises():

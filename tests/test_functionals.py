@@ -10,7 +10,6 @@ from randers_disc import (
     Circle,
     DomainError,
     PolarFourierCurve,
-    QuadratureError,
     QuadratureGrid,
     RandersConfig,
     VolumeForm,
@@ -91,17 +90,13 @@ def test_signed_area_is_orientation_odd():
     assert forward.mean() > 0.0  # polar graphs are positively oriented
 
 
-def test_quadrature_error_estimate_and_gate():
+def test_quadrature_error_estimate():
     # the gentle curves integrate to machine precision; a near-boundary
     # excursion on a coarse grid leaves a measurable doubling estimate
     curve = PolarFourierCurve(0.5, (0.49,), (0.0,))
     grid = QuadratureGrid(256)
     val = length(curve, RandersConfig(0.3), grid)
     assert val.est_error > 1e-9
-    with pytest.raises(QuadratureError):
-        length(curve, RandersConfig(0.3), grid, tolerance=1e-12)
-    with pytest.raises(QuadratureError):
-        area(curve, RandersConfig(0.3), grid, tolerance=1e-12)
 
 
 def test_functionals_reject_inadmissible_curves():

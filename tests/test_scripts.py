@@ -1,4 +1,4 @@
-"""The experiment scripts run end to end at tiny sizes."""
+"""The experiment scripts and the README quickstart run end to end at tiny sizes."""
 import os
 import subprocess
 import sys
@@ -26,3 +26,10 @@ def test_script_runs(argv):
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quickstart_runs():
+    # the quickstart imports from the package root, so it guards __all__
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -487,7 +487,7 @@ def test_certificate_fails_with_overridden_multiplier(cfg_bh):
     assert any("condition failed" in n for n in cert.notes)
 
 
-@pytest.mark.parametrize("kwargs", [{"n_probes": 0}, {"t_samples": 0}], ids=["n_probes-0", "t_samples-0"])
+@pytest.mark.parametrize("kwargs", [{"n_probes": 0}], ids=["n_probes-0"])
 def test_certificate_rejects_vacuous_sizes(cfg_bh, kwargs):
     with pytest.raises(DomainError):
         build_certificate(0.5, cfg_bh, **kwargs)
