@@ -65,6 +65,9 @@ class RunConfig:
         for name, value in dataclasses.asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        # the EL residual and the deficit are absolute values, so no run could pass
+        if self.tol < 0.0:
+            raise DomainError(f"--tol must be nonnegative, got {self.tol}")
         # checked before any computation, so a long run cannot end in a failed write
         if self.output and not os.path.isdir(os.path.dirname(os.path.abspath(self.output))):
             raise DomainError(f"--output directory does not exist: {self.output}")
@@ -173,13 +176,14 @@ def cmd_deficit_sweep(cfg: RunConfig) -> int:
     header = ["a", "L", "A_bh", "A_ht", "A_max", "A_min", "deficit"]
     rows = []
     worst = 0.0
+    # every form's area is its kappa times the Green integral, which is the
+    # Holmes-Thompson area since kappa_ht = 1
+    rc_ht = RandersConfig(cfg.b, VolumeForm.HOLMES_THOMPSON)
+    kappas = {form.value: RandersConfig(cfg.b, form).kappa for form in VolumeForm}
     for a in np.linspace(cfg.a_min, cfg.a_max, cfg.a_count):
         circle = Circle(float(a))
-        areas = {}
-        for form in VolumeForm:
-            rc = RandersConfig(cfg.b, form)
-            areas[form.value] = area(circle, rc, grid).value
-        rc_ht = RandersConfig(cfg.b, VolumeForm.HOLMES_THOMPSON)
+        green = area(circle, rc_ht, grid).value
+        areas = {form: kap * green for form, kap in kappas.items()}
         L = length(circle, rc_ht, grid).value
         deficit = deficit_value(L, areas["ht"], rc_ht)
         worst = max(worst, abs(deficit))
@@ -199,16 +203,14 @@ _DISPATCH = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser, *, need_a: bool, need_form: bool, reads: tuple[str, ...]) -> None:
-    if need_a:
+def _add_common(sp: argparse.ArgumentParser, *, circle: bool, reads: tuple[str, ...]) -> None:
+    if circle:
         sp.add_argument("--a", type=float, help="circle radius in (0, 1)")
     sp.add_argument("--b", type=float, help="drift strength, 0 <= b < 1")
-    sp.add_argument(
-        "--form",
-        choices=[f.value for f in VolumeForm],
-        required=need_form,
-        help="volume form",
-    )
+    if circle:
+        sp.add_argument(
+            "--form", choices=[f.value for f in VolumeForm], required=True, help="volume form"
+        )
     # only the flags the subcommand reads, so an ignored one is a usage error
     if "n" in reads:
         sp.add_argument("--n", type=int, help="quadrature nodes (power of two >= 256)")
@@ -227,27 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("certificate", help="run all sufficiency checks for one circle")
-    _add_common(sp, need_a=True, need_form=True, reads=("n", "tol", "seed"))
+    _add_common(sp, circle=True, reads=("n", "tol", "seed"))
     sp.add_argument("--probes", type=int, help="random second-variation probes")
     sp.add_argument("--scan-points", type=int, help="conjugate scan sample count")
     sp.add_argument("--scan-steps", type=int, help="conjugate scan ODE steps")
 
     sp = sub.add_parser("perturb", help="length-matched perturbation trials")
-    _add_common(sp, need_a=True, need_form=True, reads=("n", "seed"))
+    _add_common(sp, circle=True, reads=("n", "seed"))
     sp.add_argument("--trials", type=int, help="number of perturbations")
     sp.add_argument("--epsilon", type=float, help="coefficient scale")
     sp.add_argument("--harmonics", type=int, help="max perturbation harmonic")
 
     sp = sub.add_parser("conjugate", help="Jacobi determinant scan over one period")
-    _add_common(sp, need_a=True, need_form=True, reads=())
+    _add_common(sp, circle=True, reads=())
     sp.add_argument("--scan-points", type=int, help="conjugate scan sample count")
     sp.add_argument("--scan-steps", type=int, help="conjugate scan ODE steps")
 
     sp = sub.add_parser("check-metric", help="drift norm, potential gradient, flag-curvature residual")
-    _add_common(sp, need_a=False, need_form=False, reads=())
+    _add_common(sp, circle=False, reads=())
 
     sp = sub.add_parser("deficit-sweep", help="isoperimetric deficit of circles over a radius grid")
-    _add_common(sp, need_a=False, need_form=False, reads=("n", "tol"))
+    _add_common(sp, circle=False, reads=("n", "tol"))
     sp.add_argument("--a-min", type=float, help="sweep start radius")
     sp.add_argument("--a-max", type=float, help="sweep end radius")
     sp.add_argument("--a-count", type=int, help="sweep point count")

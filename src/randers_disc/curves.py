@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError
+from .errors import DomainError, VerificationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,7 +42,7 @@ class _PolarCurve:
         tr = reduce_parameter(t)
         point, velocity = self.batch(tr)
         if not velocity.any():
-            raise AdmissibilityError(f"velocity vanishes at t={tr}")
+            raise VerificationError(f"velocity vanishes at t={tr}")
         return CurveSample(tr, point, velocity)
 
     def batch(self, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -68,9 +68,6 @@ class Circle(_PolarCurve):
 
     def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.full(ts.shape, self.a), np.zeros(ts.shape)
-
-    def to_dict(self) -> dict:
-        return {"kind": "circle", "a0": self.a, "cos_coeffs": [], "sin_coeffs": []}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,14 +120,6 @@ class PolarFourierCurve(_PolarCurve):
             sin_c.append(-self.cos_coeffs[k] * sw + self.sin_coeffs[k] * cw)
         return PolarFourierCurve(self.a0, tuple(cos_c), tuple(sin_c))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "polar_fourier",
-            "a0": self.a0,
-            "cos_coeffs": list(self.cos_coeffs),
-            "sin_coeffs": list(self.sin_coeffs),
-        }
-
 
 def check_admissible(curve: _PolarCurve) -> bool:
     """True iff r(t) in (margin, 1 - margin) and |velocity| > margin on the grid."""
@@ -144,4 +133,4 @@ def check_admissible(curve: _PolarCurve) -> bool:
 
 def require_admissible(curve: _PolarCurve) -> None:
     if not check_admissible(curve):
-        raise AdmissibilityError(f"curve {curve!r} leaves the admissible polar-graph class")
+        raise VerificationError(f"curve {curve!r} leaves the admissible polar-graph class")

@@ -1,11 +1,13 @@
 """Exception types shared across the package.
 
-Each class carries the command-line exit code it stands for:
+There is one class per command-line exit code:
 
 - ``DomainError`` (exit 2): the input is outside the mathematical domain or
   names a size that makes a check vacuous; nothing was verified.
-- ``VerificationError`` (exit 1) and its subclasses: a numerical step failed
-  on valid input; a certificate records it as a failed check.
+- ``VerificationError`` (exit 1): a numerical step failed on valid input
+  (an inadmissible curve, a failed bracket or stencil, an exhausted
+  sampler, a degenerate chart or projection, an inconsistent integration);
+  a certificate records it as a failed check, and its message says which.
 
 Any other exception is a bug and propagates unchanged.
 """
@@ -17,31 +19,3 @@ class DomainError(ValueError):
 
 class VerificationError(RuntimeError):
     """A numerical step failed on valid input, so its check fails."""
-
-
-class AdmissibilityError(VerificationError):
-    """Curve leaves the disc, collapses toward the origin, or loses speed."""
-
-
-class NumericalError(VerificationError):
-    """A finite-difference or linear-algebra step produced unusable output."""
-
-
-class BracketingError(VerificationError):
-    """Root bracketing failed: the target value is not straddled."""
-
-
-class ExhaustionError(VerificationError):
-    """Rejection sampling exceeded its retry budget."""
-
-
-class ChartSingularityError(VerificationError):
-    """The x1-variation chart is degenerate at the requested parameter."""
-
-
-class ProjectionError(VerificationError):
-    """Constraint projection is degenerate for the supplied variation basis."""
-
-
-class IntegrationError(VerificationError):
-    """ODE integration failed its step-halving consistency check."""

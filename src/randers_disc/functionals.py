@@ -16,6 +16,7 @@ import numpy as np
 from .config import RandersConfig
 from .curves import TWO_PI, _PolarCurve, require_admissible
 from .errors import DomainError
+from .metric import _randers_norm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,15 +52,12 @@ def _periodic_integral(values: np.ndarray) -> tuple[float, float]:
 
 
 def length_integrand(points: np.ndarray, velocities: np.ndarray, cfg: RandersConfig) -> np.ndarray:
-    """F(gamma, gamma') sampled along a curve; includes the drift term."""
-    r2 = points[:, 0] ** 2 + points[:, 1] ** 2
-    s = 1.0 - r2
-    speed = np.hypot(velocities[:, 0], velocities[:, 1])
-    vals = 2.0 * speed / s
-    if cfg.b != 0.0:
-        radial = points[:, 0] * velocities[:, 0] + points[:, 1] * velocities[:, 1]
-        vals = vals + 2.0 * cfg.b * radial / (s * np.sqrt(r2))
-    return vals
+    """F(gamma, gamma') sampled along a curve; includes the drift term.
+
+    The callers have checked the curve's admissibility, so the metric's
+    norm is taken without revalidating every node.
+    """
+    return _randers_norm(points, velocities, cfg.b)
 
 
 def signed_area_integrand(points: np.ndarray, velocities: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RandersConfig
 from .curves import Circle, PolarFourierCurve, _PolarCurve, check_admissible
-from .errors import BracketingError, DomainError, ExhaustionError, NumericalError
+from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid, _periodic_integral, area, length, length_integrand
 
 MATCH_WIDTH = 1e-13       # bisection interval width target on a0
@@ -82,7 +82,7 @@ def generate_perturbations(spec: PerturbationSpec, a: float) -> list[PolarFourie
                 break
             rejected += 1
             if rejected > budget:
-                raise ExhaustionError(
+                raise VerificationError(
                     f"rejected {rejected} draws for {spec.count} curves; epsilon too large for a={a}"
                 )
     return curves
@@ -97,7 +97,7 @@ def match_length(
     """Shift a0 until length(curve) = target_L, by bisection.
 
     Monotonicity in a0 is not assumed: the bracket endpoints must straddle
-    the target or a BracketingError is raised.  A curve already at the
+    the target or a VerificationError is raised.  A curve already at the
     target is returned unchanged (the circle is an exact fixed point).
     """
     if abs(length(curve, cfg, grid).value - target_L) <= MATCH_TOL:
@@ -106,7 +106,7 @@ def match_length(
     lo = margin + 1e-6
     hi = 1.0 - margin - 1e-6
     if lo >= hi:
-        raise BracketingError(f"no admissible base-radius interval for margin {margin}")
+        raise VerificationError(f"no admissible base-radius interval for margin {margin}")
 
     # within the bracket the radius stays inside [a0 - margin, a0 + margin],
     # so admissibility holds by construction and the per-step check is skipped
@@ -116,7 +116,7 @@ def match_length(
 
     f_lo, f_hi = excess(lo), excess(hi)
     if f_lo * f_hi > 0.0:
-        raise BracketingError(
+        raise VerificationError(
             f"target length {target_L} not bracketed on [{lo}, {hi}] "
             f"(excess {f_lo:.3e} and {f_hi:.3e})"
         )
@@ -131,7 +131,7 @@ def match_length(
     a0 = 0.5 * (lo + hi)
     residual = abs(excess(a0))
     if residual > MATCH_TOL:
-        raise NumericalError(f"length matching stalled at |dL| = {residual:.3e}")
+        raise VerificationError(f"length matching stalled at |dL| = {residual:.3e}")
     return curve.with_base_radius(a0)
 
 
@@ -189,7 +189,7 @@ def run_trials(
                     ok=ok,
                 )
             )
-        except (BracketingError, NumericalError) as exc:
+        except VerificationError as exc:
             nan = math.nan
             results.append(
                 TrialResult(

@@ -5,6 +5,9 @@ a_ij = 4 delta_ij / (1 - r^2)^2 (curvature -1) and the drift one-form is
 the differential of the radial potential f = b log((1+r)/(1-r)), scaled so
 that its alpha-norm equals b at every point.  F = alpha + beta is a Randers
 norm for every 0 <= b < 1.
+
+Points and vectors have shape (..., 2), and every function but
+fundamental_tensor broadcasts over the leading axes.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from .config import RandersConfig
-from .errors import DomainError, NumericalError
+from .errors import DomainError, VerificationError
 from . import fd
 
 # Yasuda-Shimada curvature parameter: alpha has sectional curvature -1 = -(lam/2)^2
@@ -34,77 +37,105 @@ _GRAD_TOL = 1e-8       # potential-gradient mismatch allowed (central difference
 
 def _as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float)
-    if q.shape != (2,):
+    if q.shape[-1:] != (2,):
         raise DomainError(f"point must have two coordinates, got shape {q.shape}")
-    if q[0] * q[0] + q[1] * q[1] >= 1.0:
-        raise DomainError(f"point {q.tolist()} lies outside the open unit disc")
+    outside = q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1] >= 1.0
+    if np.any(outside):
+        raise DomainError(f"point {q[outside][0].tolist()} lies outside the open unit disc")
     return q
 
 
 def _as_vector(v, *, nonzero: bool = True) -> np.ndarray:
     w = np.asarray(v, dtype=float)
-    if w.shape != (2,):
+    if w.shape[-1:] != (2,):
         raise DomainError(f"vector must have two components, got shape {w.shape}")
-    if nonzero and w[0] == 0.0 and w[1] == 0.0:
+    if nonzero and np.any((w[..., 0] == 0.0) & (w[..., 1] == 0.0)):
         raise DomainError("zero vector is outside the metric's domain")
     return w
 
 
-def alpha_norm(p, v) -> float:
+def _drift_radius(q: np.ndarray) -> np.ndarray:
+    """r = |q|, where the drift direction x/r must exist."""
+    r = np.hypot(q[..., 0], q[..., 1])
+    if np.any(r < _ORIGIN_RADIUS):
+        raise DomainError("drift covector has no continuous extension at the origin")
+    return r
+
+
+def _norm_terms(q: np.ndarray, w: np.ndarray, b: float):
+    """Unvalidated (alpha, beta) at points q and vectors w; r^2 is computed
+    once, and beta is 0.0 when b = 0, where its formula fails at the origin."""
+    x1, x2 = q[..., 0], q[..., 1]
+    v1, v2 = w[..., 0], w[..., 1]
+    r2 = x1 * x1 + x2 * x2
+    s = 1.0 - r2
+    alpha = 2.0 * np.hypot(v1, v2) / s
+    if b == 0.0:
+        return alpha, 0.0
+    return alpha, 2.0 * b * (x1 * v1 + x2 * v2) / (s * np.sqrt(r2))
+
+
+def _randers_norm(points: np.ndarray, velocities: np.ndarray, b: float) -> np.ndarray:
+    """Unvalidated F = alpha + beta, for callers whose points are admissible already."""
+    alpha, beta = _norm_terms(points, velocities, b)
+    return alpha + beta
+
+
+def alpha_norm(p, v) -> np.ndarray:
     """Hyperbolic norm 2|v| / (1 - r^2)."""
-    q = _as_point(p)
-    w = _as_vector(v)
-    return 2.0 * math.hypot(w[0], w[1]) / (1.0 - q[0] * q[0] - q[1] * q[1])
+    return _norm_terms(_as_point(p), _as_vector(v), 0.0)[0]
 
 
 def beta_covector(p, cfg: RandersConfig) -> np.ndarray:
     """Drift covector b_i = 2b x_i / ((1 - r^2) r); identically zero when b = 0."""
     q = _as_point(p)
     if cfg.b == 0.0:
-        return np.zeros(2)
-    r = math.hypot(q[0], q[1])
-    if r < _ORIGIN_RADIUS:
-        raise DomainError("drift covector has no continuous extension at the origin")
-    return 2.0 * cfg.b * q / ((1.0 - r * r) * r)
+        return np.zeros(q.shape)
+    r = _drift_radius(q)
+    return 2.0 * cfg.b * q / ((1.0 - r * r) * r)[..., None]
 
 
-def beta_value(p, v, cfg: RandersConfig) -> float:
+def beta_value(p, v, cfg: RandersConfig) -> np.ndarray:
     """beta evaluated on a tangent vector."""
-    if cfg.b == 0.0:
-        _as_point(p)
-        return 0.0
+    q = _as_point(p)
     w = _as_vector(v, nonzero=False)
-    cov = beta_covector(p, cfg)
-    return float(cov @ w)
+    if cfg.b == 0.0:
+        return np.zeros(np.broadcast_shapes(q.shape, w.shape)[:-1])[()]
+    _drift_radius(q)
+    return _norm_terms(q, w, cfg.b)[1]
 
 
-def potential(p, cfg: RandersConfig) -> float:
+def potential(p, cfg: RandersConfig) -> np.ndarray:
     """Radial potential with beta = df."""
     q = _as_point(p)
-    r = math.hypot(q[0], q[1])
-    return cfg.b * math.log((1.0 + r) / (1.0 - r))
+    r = np.hypot(q[..., 0], q[..., 1])
+    return cfg.b * np.log((1.0 + r) / (1.0 - r))
 
 
-def finsler_norm(p, v, cfg: RandersConfig) -> float:
+def finsler_norm(p, v, cfg: RandersConfig) -> np.ndarray:
     """F = alpha + beta; positive for v != 0 whenever b < 1."""
-    return alpha_norm(p, v) + beta_value(p, v, cfg)
+    q = _as_point(p)
+    w = _as_vector(v)
+    if cfg.b != 0.0:
+        _drift_radius(q)
+    return _randers_norm(q, w, cfg.b)
 
 
-def sigma_alpha(p) -> float:
+def sigma_alpha(p) -> np.ndarray:
     """Riemannian area density 4 / (1 - r^2)^2."""
     q = _as_point(p)
-    s = 1.0 - q[0] * q[0] - q[1] * q[1]
+    s = 1.0 - q[..., 0] * q[..., 0] - q[..., 1] * q[..., 1]
     return 4.0 / (s * s)
 
 
-def volume_density(p, cfg: RandersConfig) -> float:
+def volume_density(p, cfg: RandersConfig) -> np.ndarray:
     """kappa(form, b) * sigma_alpha(p)."""
     return cfg.kappa * sigma_alpha(p)
 
 
 @dataclasses.dataclass(frozen=True)
 class ChristoffelSymbols:
-    """gamma1[i][j] = gamma^1_ij, gamma2[i][j] = gamma^2_ij."""
+    """gamma1[..., i, j] = gamma^1_ij, gamma2[..., i, j] = gamma^2_ij."""
 
     gamma1: np.ndarray
     gamma2: np.ndarray
@@ -112,11 +143,13 @@ class ChristoffelSymbols:
 
 def christoffel(p) -> ChristoffelSymbols:
     q = _as_point(p)
-    x1, x2 = q
+    x1, x2 = q[..., 0], q[..., 1]
     c = 2.0 / (1.0 - x1 * x1 - x2 * x2)
-    g1 = c * np.array([[x1, x2], [x2, -x1]])
-    g2 = c * np.array([[-x2, x1], [x1, x2]])
-    return ChristoffelSymbols(g1, g2)
+
+    def symbols(rows) -> np.ndarray:
+        return np.moveaxis(c * np.array(rows), (0, 1), (-2, -1))
+
+    return ChristoffelSymbols(symbols([[x1, x2], [x2, -x1]]), symbols([[-x2, x1], [x1, x2]]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,13 +168,17 @@ class FundamentalTensor:
 
 
 def fundamental_tensor(p, v, cfg: RandersConfig) -> FundamentalTensor:
-    """Velocity Hessian of F^2/2 by central differences at step 1e-4*|v|.
+    """Velocity Hessian of F^2/2 by central differences at step 1e-4*|v|,
+    at one point and one vector (the only function here that does not
+    take arrays of them).
 
     Validated by the contraction identity v^i v^j g_ij = F^2; positive
     definiteness is checked and a failure signals step misconfiguration.
     """
     q = _as_point(p)
     w = _as_vector(v)
+    if q.ndim + w.ndim != 2:
+        raise DomainError(f"fundamental tensor takes one point and one vector, got {q.shape} and {w.shape}")
     h = _TENSOR_REL_STEP * math.hypot(w[0], w[1])
 
     def half_f2(v1: float, v2: float) -> float:
@@ -152,14 +189,21 @@ def fundamental_tensor(p, v, cfg: RandersConfig) -> FundamentalTensor:
     g22 = fd.d2_central(lambda s: half_f2(w[0], w[1] + s), 0.0, h)
     g12 = fd.mixed_2nd(lambda s, u: half_f2(w[0] + s, w[1] + u), 0.0, 0.0, h, h)
     if not (g11 > 0.0 and g11 * g22 - g12 * g12 > 0.0):
-        raise NumericalError(
+        raise VerificationError(
             f"fundamental tensor lost positive definiteness at p={q.tolist()}, v={w.tolist()}"
         )
     return FundamentalTensor(g11, g12, g22)
 
 
+def _position_gradient(f, q: np.ndarray) -> np.ndarray:
+    """Central differences of f along x^1 and x^2, stacked on a new last axis."""
+    return np.stack(
+        [fd.d1_central(lambda h, e=e: f(q + h * e), 0.0, _POSITION_STEP) for e in np.eye(2)], axis=-1
+    )
+
+
 def yasuda_shimada_residual(p, cfg: RandersConfig) -> np.ndarray:
-    """Residual R_ij = db_i/dx^j - b_k gamma^k_ij - 2 (a_ij - b_i b_j).
+    """Residual R_ij = db_i/dx^j - b_k gamma^k_ij - 2 (a_ij - b_i b_j), shape (..., 2, 2).
 
     A nonzero matrix certifies that the metric does not have constant
     negative flag curvature.  The test degenerates in the Riemannian case,
@@ -169,21 +213,18 @@ def yasuda_shimada_residual(p, cfg: RandersConfig) -> np.ndarray:
     q = _as_point(p)
     if cfg.b == 0.0:
         raise DomainError("flag-curvature residual test requires b > 0 (Riemannian case excluded)")
-    r = math.hypot(q[0], q[1])
-    if r < 0.01:
+    r = np.hypot(q[..., 0], q[..., 1])
+    if np.any(r < 0.01):
         raise DomainError("flag-curvature residual is unreliable near the origin (r < 0.01)")
 
-    jac = np.empty((2, 2))
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = _POSITION_STEP
-        jac[:, j] = (beta_covector(q + e, cfg) - beta_covector(q - e, cfg)) / (2.0 * _POSITION_STEP)
-
+    jac = _position_gradient(lambda x: beta_covector(x, cfg), q)
     bcov = beta_covector(q, cfg)
     gam = christoffel(q)
     s = 1.0 - r * r
-    a_ij = (4.0 / (s * s)) * np.eye(2)
-    return jac - bcov[0] * gam.gamma1 - bcov[1] * gam.gamma2 - _LAMBDA_YS * (a_ij - np.outer(bcov, bcov))
+    a_ij = (4.0 / (s * s))[..., None, None] * np.eye(2)
+    b1, b2 = bcov[..., 0, None, None], bcov[..., 1, None, None]
+    outer = bcov[..., :, None] * bcov[..., None, :]
+    return jac - b1 * gam.gamma1 - b2 * gam.gamma2 - _LAMBDA_YS * (a_ij - outer)
 
 
 def disc_grid() -> np.ndarray:
@@ -204,27 +245,17 @@ def check_metric(cfg: RandersConfig) -> dict:
     yasuda_shimada_note and pass.
     """
     points = disc_grid()
-    norm_dev = 0.0
-    grad_dev = 0.0
-    for p in points:
-        beta = beta_covector(p, cfg)
-        s = 1.0 - float(p @ p)
-        alpha_norm_beta = 0.5 * s * math.hypot(beta[0], beta[1])
-        norm_dev = max(norm_dev, abs(alpha_norm_beta - cfg.b))
-        for i in range(2):
-            def f_along(h: float, i=i, p=p) -> float:
-                q = p.copy()
-                q[i] += h
-                return potential(q, cfg)
-
-            grad_i = fd.d1_central(f_along, 0.0, _POSITION_STEP)
-            grad_dev = max(grad_dev, abs(grad_i - beta[i]))
+    beta = beta_covector(points, cfg)
+    s = 1.0 - (points[:, 0] * points[:, 0] + points[:, 1] * points[:, 1])
+    norm_dev = float(np.max(np.abs(0.5 * s * np.hypot(beta[:, 0], beta[:, 1]) - cfg.b)))
+    grad = _position_gradient(lambda x: potential(x, cfg), points)
+    grad_dev = float(np.max(np.abs(grad - beta)))
     if cfg.b == 0.0:
         ys_max = None
         ys_note = "skipped (Riemannian case)"
         ys_ok = True
     else:
-        ys_max = max(float(np.max(np.abs(yasuda_shimada_residual(p, cfg)))) for p in points)
+        ys_max = float(np.max(np.abs(yasuda_shimada_residual(points, cfg))))
         ys_note = f"max residual entry over {len(points)} grid points"
         ys_ok = ys_max > _YS_FLOOR
     return {

@@ -22,14 +22,7 @@ import numpy as np
 
 from .config import RandersConfig
 from .curves import TWO_PI, Circle, _PolarCurve
-from .errors import (
-    ChartSingularityError,
-    DomainError,
-    IntegrationError,
-    NumericalError,
-    ProjectionError,
-    VerificationError,
-)
+from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid
 from . import fd
 
@@ -99,7 +92,7 @@ def solve_lambda_numeric(a: float, cfg: RandersConfig) -> float:
     fs, gs = _el_parts(Circle(a), QuadratureGrid().nodes, cfg.kappa)
     denom = float(gs @ gs)
     if denom <= 0.0:
-        raise NumericalError("multiplier system is singular: zero constraint response")
+        raise VerificationError("multiplier system is singular: zero constraint response")
     return -float(fs @ gs) / denom
 
 
@@ -227,7 +220,7 @@ def jacobi_coeffs(circle: Circle, kap: float, lam: float, t: float = 0.0) -> Jac
     4th-order stencils (offsets up to twice the step) stay inside the disc.
     """
     if abs(math.cos(t)) < _CHART_COS_MIN:
-        raise ChartSingularityError(
+        raise VerificationError(
             f"x1-chart is degenerate near t={t} (|cos t| < {_CHART_COS_MIN})"
         )
     a = circle.a
@@ -335,23 +328,23 @@ def conjugate_scan(
     for name in ("h1", "h2", "U"):
         value = getattr(coeffs, name)
         if not math.isfinite(value):
-            raise NumericalError(f"Jacobi coefficient {name} = {value} is not finite")
+            raise VerificationError(f"Jacobi coefficient {name} = {value} is not finite")
         # written so that a NaN at t = pi fails the check too
         if not abs(getattr(check, name) - value) <= 1e-4 * abs(value):
-            raise NumericalError(f"Jacobi coefficient {name} is not constant along the circle")
+            raise VerificationError(f"Jacobi coefficient {name} is not constant along the circle")
 
     stride = n_steps // scan_points
     cs = TWO_PI * np.arange(1, scan_points + 1) / scan_points
     Ds = _rk4_determinants(coeffs.h1, coeffs.h2, coeffs.U, n_steps, stride)
     Ds_half = _rk4_determinants(coeffs.h1, coeffs.h2, coeffs.U, 2 * n_steps, 2 * stride)
     if not (np.all(np.isfinite(Ds)) and np.all(np.isfinite(Ds_half))):
-        raise NumericalError("conjugate scan produced non-finite determinants")
+        raise VerificationError("conjugate scan produced non-finite determinants")
     scale = float(np.max(np.abs(Ds)))
     if scale == 0.0:
-        raise NumericalError("degenerate scan: D vanishes identically")
+        raise VerificationError("degenerate scan: D vanishes identically")
     step_halving = float(np.max(np.abs(Ds - Ds_half))) / scale
     if step_halving > _CONSISTENCY_TOL:
-        raise IntegrationError(
+        raise VerificationError(
             f"step-halving changed D by {step_halving:.3e} relative (tol {_CONSISTENCY_TOL:.1e})"
         )
 
@@ -486,7 +479,7 @@ def project_probe(
         ell = constraint_vector(circle, probe.harmonics, n)
     norm2 = float(ell @ ell)
     if norm2 <= 0.0:
-        raise ProjectionError("constraint functional vanishes on the whole probe basis")
+        raise VerificationError("constraint functional vanishes on the whole probe basis")
     vec = probe.to_vector()
     return VariationProbe.from_vector(vec - (float(ell @ vec) / norm2) * ell)
 
@@ -498,34 +491,21 @@ def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarr
     nodes.  Probe-independent, so certificates compute this once.
     """
     points, velocities = Circle(a).batch(ts)
-    base_args = [*points.T, *velocities.T]
+    args = np.concatenate([points.T, velocities.T])
     hv = _BLOCK_REL_STEP_V * a
     steps = [_BLOCK_STEP_X, _BLOCK_STEP_X, hv, hv]
+    unit = np.eye(4)
 
-    def h_at(shift: list[int]) -> np.ndarray:
-        w = [base_args[i] + shift[i] * steps[i] for i in range(4)]
-        return lagrangian(w[0], w[1], w[2], w[3], kap, lam)
+    def h_moved(shift: np.ndarray) -> np.ndarray:
+        return lagrangian(*(args + shift[:, None]), kap, lam)
 
-    H = np.zeros((4, 4, len(ts)))
-    base = h_at([0, 0, 0, 0])
+    H = np.empty((4, 4, len(ts)))
     for i in range(4):
-        for j in range(i, 4):
-            if i == j:
-                sh = [0, 0, 0, 0]
-                sh[i] = 1
-                up = h_at(sh)
-                sh[i] = -1
-                dn = h_at(sh)
-                H[i, i] = (up - 2.0 * base + dn) / steps[i] ** 2
-            else:
-                acc = np.zeros(len(ts))
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        sh = [0, 0, 0, 0]
-                        sh[i] = si
-                        sh[j] = sj
-                        acc += si * sj * h_at(sh)
-                H[i, j] = H[j, i] = acc / (4.0 * steps[i] * steps[j])
+        H[i, i] = fd.d2_central(lambda s: h_moved(s * unit[i]), 0.0, steps[i])
+        for j in range(i + 1, 4):
+            H[i, j] = H[j, i] = fd.mixed_2nd(
+                lambda s, u: h_moved(s * unit[i] + u * unit[j]), 0.0, 0.0, steps[i], steps[j]
+            )
     return H
 
 

@@ -101,6 +101,12 @@ CIRCLE = ["--a", "0.5", "--b", "0.3", "--form", "bh"]
         ["check-metric", "--b", "0.5", "--tol", "1e300"],
         ["check-metric", "--b", "0.5", "--seed", "1"],
         ["deficit-sweep", "--b", "0.3", "--seed", "1"],
+        ["deficit-sweep", "--b", "0.3", "--form", "max"],
+        ["check-metric", "--b", "0.5", "--form", "max"],
+        # the EL residual and the deficit are absolute values, so a negative
+        # tolerance makes a verdict that could never pass
+        ["certificate", *CIRCLE, "--tol", "-1"],
+        ["deficit-sweep", "--b", "0.3", "--tol", "-1"],
     ],
     ids=[
         "probes-0",
@@ -115,6 +121,10 @@ CIRCLE = ["--a", "0.5", "--b", "0.3", "--form", "bh"]
         "check-metric-tol",
         "check-metric-seed",
         "deficit-sweep-seed",
+        "deficit-sweep-form",
+        "check-metric-form",
+        "certificate-tol-negative",
+        "deficit-sweep-tol-negative",
     ],
 )
 def test_vacuous_sizes_are_usage_errors(argv, capsys, tmp_path):
@@ -329,7 +339,7 @@ def test_conjugate_near_rim_writes_finite_json(tmp_path):
 
 def test_deficit_sweep_matches_closed_forms(tmp_path):
     rc, out = run(
-        ["deficit-sweep", "--b", "0.3", "--form", "bh"], tmp_path, "s.csv"
+        ["deficit-sweep", "--b", "0.3"], tmp_path, "s.csv"
     )
     assert rc == 0
     lines = out.read_text().splitlines()

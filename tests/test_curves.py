@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from randers_disc import (
-    AdmissibilityError,
     Circle,
     DomainError,
     PolarFourierCurve,
+    VerificationError,
     check_admissible,
     require_admissible,
 )
@@ -99,12 +99,12 @@ def test_admissibility_cases():
     assert not check_admissible(PolarFourierCurve(0.5, (0.6,), (0.0,)))
     # leaves the disc
     assert not check_admissible(PolarFourierCurve(0.95, (0.1,), (0.0,)))
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(VerificationError, match="leaves the admissible polar-graph class"):
         require_admissible(PolarFourierCurve(0.5, (0.6,), (0.0,)))
 
 
 def test_degenerate_curve_eval_raises():
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(VerificationError, match="velocity vanishes"):
         PolarFourierCurve(0.0, (), ()).eval(0.3)
 
 
@@ -125,10 +125,3 @@ def test_rotation_by_period_is_identity():
     assert back.cos_coeffs == pytest.approx(curve.cos_coeffs, abs=1e-15)
     assert back.sin_coeffs == pytest.approx(curve.sin_coeffs, abs=1e-15)
 
-
-def test_to_dict_round_trip_fields():
-    curve = PolarFourierCurve(0.5, (0.04,), (0.01,))
-    d = curve.to_dict()
-    assert d["kind"] == "polar_fourier"
-    assert d["a0"] == 0.5
-    assert Circle(0.3).to_dict()["kind"] == "circle"

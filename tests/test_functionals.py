@@ -6,18 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from randers_disc import (
-    AdmissibilityError,
     Circle,
     DomainError,
     PolarFourierCurve,
     QuadratureGrid,
     RandersConfig,
+    VerificationError,
     VolumeForm,
     area,
     circle_closed_forms,
+    finsler_norm,
     length,
 )
-from randers_disc.functionals import signed_area_integrand
+from randers_disc.functionals import length_integrand, signed_area_integrand
 
 
 def test_quadrature_grid_validation():
@@ -101,9 +102,9 @@ def test_quadrature_error_estimate():
 
 def test_functionals_reject_inadmissible_curves():
     bad = PolarFourierCurve(0.5, (0.6,), (0.0,))
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(VerificationError, match="leaves the admissible polar-graph class"):
         length(bad, RandersConfig(0.0))
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(VerificationError, match="leaves the admissible polar-graph class"):
         area(bad, RandersConfig(0.0))
 
 
@@ -126,3 +127,12 @@ def test_circle_quadrature_matches_closed_forms_property(a, b, form):
     closed = circle_closed_forms(a, cfg)
     assert length(Circle(a), cfg).value == pytest.approx(closed["length"], rel=1e-10)
     assert area(Circle(a), cfg).value == pytest.approx(closed["area"], rel=1e-10)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.99])
+def test_length_integrand_is_the_finsler_norm_bitwise(b):
+    cfg = RandersConfig(b)
+    curve = PolarFourierCurve(0.5, (0.05, -0.01, 0.02), (0.02, 0.005, -0.03))
+    points, velocities = curve.batch(QuadratureGrid().nodes)
+    integrand = length_integrand(points, velocities, cfg)
+    assert integrand.tolist() == finsler_norm(points, velocities, cfg).tolist()

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from randers_disc import (
-    BracketingError,
     Circle,
     DomainError,
-    ExhaustionError,
     PerturbationSpec,
     PolarFourierCurve,
     RandersConfig,
+    VerificationError,
     VolumeForm,
     circle_closed_forms,
     generate_perturbations,
@@ -58,7 +57,7 @@ def test_generation_zero_epsilon_gives_circles():
 
 def test_generation_exhaustion(monkeypatch):
     monkeypatch.setattr(isoperimetry, "check_admissible", lambda curve: False)
-    with pytest.raises(ExhaustionError):
+    with pytest.raises(VerificationError, match="epsilon too large"):
         generate_perturbations(PerturbationSpec(count=3), 0.5)
 
 
@@ -96,7 +95,7 @@ def test_match_length_residual_tolerance(cfg_bh, rng):
 
 
 def test_match_length_bracketing_failure(cfg_bh):
-    with pytest.raises(BracketingError):
+    with pytest.raises(VerificationError, match="not bracketed"):
         match_length(PolarFourierCurve(0.5, (0.3,), (0.0,)), 1.0, cfg_bh)
 
 
@@ -137,7 +136,7 @@ def test_run_trials_rotation_invariance(cfg_bh):
 
 def test_run_trials_records_failures(cfg_bh, monkeypatch):
     def boom(curve, target, cfg, grid=None):
-        raise BracketingError("no admissible bracket")
+        raise VerificationError("no admissible bracket")
 
     monkeypatch.setattr(isoperimetry, "match_length", boom)
     results = run_trials(0.5, cfg_bh, PerturbationSpec(count=2))

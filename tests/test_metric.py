@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from randers_disc import (
     DomainError,
-    NumericalError,
     RandersConfig,
     VolumeForm,
     alpha_norm,
@@ -23,6 +22,7 @@ from randers_disc import (
     yasuda_shimada_residual,
 )
 from randers_disc import fd
+from randers_disc.metric import check_metric
 
 # frozen flag-curvature residual at p = (3/10, 0), b = 1/2 (exact rationals)
 YS_R11 = -60000.0 / 8281.0
@@ -202,3 +202,76 @@ def test_disc_grid_shape_and_axis_points():
     assert len(on_axis) >= 10  # angle 0 row keeps pure-axis points
     radii = np.hypot(pts[:, 0], pts[:, 1])
     assert radii.min() >= 0.1 - 1e-12 and radii.max() <= 0.9 + 1e-12
+
+
+# three directions, broadcast against the 200 grid points
+DIRECTIONS = np.array([(1.0, 0.0), (-0.3, 0.8), (0.5, -1.7)])
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_array_calls_equal_per_point_calls_bitwise(b):
+    cfg = RandersConfig(b, VolumeForm.MAX)
+    points = disc_grid()
+    pairs = [(p, v) for p in points for v in DIRECTIONS]
+    for fn in (alpha_norm, lambda p, v: beta_value(p, v, cfg), lambda p, v: finsler_norm(p, v, cfg)):
+        assert fn(points[:, None], DIRECTIONS).ravel().tolist() == [float(fn(p, v)) for p, v in pairs]
+    for fn in (lambda p: potential(p, cfg), sigma_alpha, lambda p: volume_density(p, cfg)):
+        assert fn(points).tolist() == [float(fn(p)) for p in points]
+    assert beta_covector(points, cfg).tolist() == [beta_covector(p, cfg).tolist() for p in points]
+    gam = christoffel(points)
+    assert gam.gamma1.tolist() == [christoffel(p).gamma1.tolist() for p in points]
+    assert gam.gamma2.tolist() == [christoffel(p).gamma2.tolist() for p in points]
+    if b > 0.0:
+        R = yasuda_shimada_residual(points, cfg)
+        assert R.tolist() == [yasuda_shimada_residual(p, cfg).tolist() for p in points]
+
+
+def test_array_calls_reject_any_bad_entry():
+    points = disc_grid()
+    with pytest.raises(DomainError, match=r"point \[1.0, 0.0\] lies outside"):
+        alpha_norm(np.vstack([points, [(1.0, 0.0)]]), (1.0, 0.0))
+    with pytest.raises(DomainError, match="zero vector"):
+        finsler_norm(points, np.vstack([points[1:], [(0.0, 0.0)]]), RandersConfig(0.3))
+    with pytest.raises(DomainError, match="origin"):
+        beta_value(np.vstack([points, [(0.0, 0.0)]]), (1.0, 0.0), RandersConfig(0.3))
+    with pytest.raises(DomainError, match="r < 0.01"):
+        yasuda_shimada_residual(np.vstack([points, [(0.005, 0.0)]]), RandersConfig(0.5))
+    with pytest.raises(DomainError, match="two coordinates"):
+        sigma_alpha(np.zeros((4, 3)))
+    with pytest.raises(DomainError, match="one point and one vector"):
+        fundamental_tensor(points, (1.0, 0.0), RandersConfig(0.3))
+
+
+def check_metric_per_point(cfg):
+    """The drift-norm, potential-gradient and flag-curvature maxima, one grid point at a time."""
+    points = disc_grid()
+    norm_dev = 0.0
+    grad_dev = 0.0
+    for p in points:
+        beta = beta_covector(p, cfg)
+        s = 1.0 - float(p @ p)
+        norm_dev = max(norm_dev, abs(0.5 * s * math.hypot(beta[0], beta[1]) - cfg.b))
+        for i in range(2):
+            def f_along(h, i=i, p=p):
+                q = p.copy()
+                q[i] += h
+                return potential(q, cfg)
+
+            grad_dev = max(grad_dev, abs(fd.d1_central(f_along, 0.0, 1e-6) - beta[i]))
+    if cfg.b == 0.0:
+        return norm_dev, grad_dev, None
+    return norm_dev, grad_dev, max(float(np.max(np.abs(yasuda_shimada_residual(p, cfg)))) for p in points)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 0.9])
+def test_check_metric_agrees_with_per_point_loop(b):
+    cfg = RandersConfig(b)
+    check = check_metric(cfg)
+    norm_dev, grad_dev, ys_max = check_metric_per_point(cfg)
+    assert abs(check["norm_deviation_max"] - norm_dev) <= 1e-14
+    assert abs(check["gradient_mismatch_max"] - grad_dev) <= 1e-14
+    if b == 0.0:
+        assert check["yasuda_shimada_max"] is None
+    else:
+        assert abs(check["yasuda_shimada_max"] - ys_max) <= 1e-14
+    assert check["pass"] is True
