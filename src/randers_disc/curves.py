@@ -3,6 +3,8 @@
 Polar graphs are automatically simple and positively oriented, and they
 carry exact analytic velocities, which keeps the quadrature of the length
 and area functionals spectrally accurate.  The parameter period is 2*pi.
+Curves evaluate only through batch, on parameters of any shape (not
+reduced modulo 2*pi), with positions and velocities on a trailing axis.
 """
 from __future__ import annotations
 
@@ -19,17 +21,9 @@ _ADMISSIBLE_GRID = 4096     # uniform samples of t in the admissibility check
 _ADMISSIBLE_MARGIN = 1e-9   # distance kept from the origin, the rim and zero speed
 
 
-def reduce_parameter(t: float) -> float:
-    """Map t into [0, 2*pi); exact for exact multiples (fmod is exact)."""
-    u = math.fmod(t, TWO_PI)
-    return u + TWO_PI if u < 0.0 else u
-
-
-@dataclasses.dataclass(frozen=True)
-class CurveSample:
-    t: float
-    point: np.ndarray
-    velocity: np.ndarray
+def require_radius(a: float) -> None:
+    if not 0.0 < a < 1.0:
+        raise DomainError(f"circle radius must lie in (0, 1), got {a}")
 
 
 class _PolarCurve:
@@ -37,13 +31,6 @@ class _PolarCurve:
 
     def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def eval(self, t: float) -> CurveSample:
-        tr = reduce_parameter(t)
-        point, velocity = self.batch(tr)
-        if not velocity.any():
-            raise VerificationError(f"velocity vanishes at t={tr}")
-        return CurveSample(tr, point, velocity)
 
     def batch(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Positions and velocities at parameters of any shape, shape ts.shape + (2,) each."""
@@ -63,8 +50,7 @@ class Circle(_PolarCurve):
 
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
-        if not 0.0 < self.a < 1.0:
-            raise DomainError(f"circle radius must lie in (0, 1), got {self.a}")
+        require_radius(self.a)
 
     def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.full(ts.shape, self.a), np.zeros(ts.shape)

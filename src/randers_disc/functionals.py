@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .config import RandersConfig
-from .curves import TWO_PI, _PolarCurve, require_admissible
+from .curves import TWO_PI, _PolarCurve, require_admissible, require_radius
 from .errors import DomainError
 from .metric import _randers_norm
 
@@ -91,7 +91,6 @@ def area(curve: _PolarCurve, cfg: RandersConfig, grid: QuadratureGrid = Quadratu
 
 def circle_closed_forms(a: float, cfg: RandersConfig) -> dict:
     """Analytic circle values: L = 4 pi a/(1-a^2), A = kappa 4 pi a^2/(1-a^2)."""
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"circle radius must lie in (0, 1), got {a}")
+    require_radius(a)
     s = 1.0 - a * a
     return {"length": 4.0 * math.pi * a / s, "area": cfg.kappa * 4.0 * math.pi * a * a / s}

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .config import RandersConfig
-from .curves import Circle, PolarFourierCurve, _PolarCurve, check_admissible
+from .curves import Circle, PolarFourierCurve, _PolarCurve, check_admissible, require_radius
 from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid, _periodic_integral, area, length, length_integrand
 
@@ -65,8 +65,7 @@ def generate_perturbations(spec: PerturbationSpec, a: float) -> list[PolarFourie
     reproducible in isolation; inadmissible draws are redrawn from the same
     stream against a global budget of 100*count rejections.
     """
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"circle radius must lie in (0, 1), got {a}")
+    require_radius(a)
     ks = np.arange(1, spec.harmonics + 1)
     budget = 100 * spec.count
     rejected = 0
@@ -115,7 +114,8 @@ def match_length(
         return _periodic_integral(length_integrand(points, velocities, cfg))[0] - target_L
 
     f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo * f_hi > 0.0:
+    # negated so that a NaN excess (a NaN target) fails the bracket too
+    if not f_lo * f_hi <= 0.0:
         raise VerificationError(
             f"target length {target_L} not bracketed on [{lo}, {hi}] "
             f"(excess {f_lo:.3e} and {f_hi:.3e})"
@@ -130,7 +130,7 @@ def match_length(
             f_lo = f_mid
     a0 = 0.5 * (lo + hi)
     residual = abs(excess(a0))
-    if residual > MATCH_TOL:
+    if not residual <= MATCH_TOL:
         raise VerificationError(f"length matching stalled at |dL| = {residual:.3e}")
     return curve.with_base_radius(a0)
 

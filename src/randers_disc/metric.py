@@ -6,13 +6,10 @@ the differential of the radial potential f = b log((1+r)/(1-r)), scaled so
 that its alpha-norm equals b at every point.  F = alpha + beta is a Randers
 norm for every 0 <= b < 1.
 
-Points and vectors have shape (..., 2), and every function but
-fundamental_tensor broadcasts over the leading axes.
+Points and vectors have shape (..., 2), every function broadcasts over
+the leading axes, and tensors come back as arrays indexed on trailing axes.
 """
 from __future__ import annotations
-
-import dataclasses
-import math
 
 import numpy as np
 
@@ -39,7 +36,8 @@ def _as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float)
     if q.shape[-1:] != (2,):
         raise DomainError(f"point must have two coordinates, got shape {q.shape}")
-    outside = q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1] >= 1.0
+    # negated so that a NaN coordinate is rejected too
+    outside = ~(q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1] < 1.0)
     if np.any(outside):
         raise DomainError(f"point {q[outside][0].tolist()} lies outside the open unit disc")
     return q
@@ -49,6 +47,9 @@ def _as_vector(v, *, nonzero: bool = True) -> np.ndarray:
     w = np.asarray(v, dtype=float)
     if w.shape[-1:] != (2,):
         raise DomainError(f"vector must have two components, got shape {w.shape}")
+    nonfinite = ~np.all(np.isfinite(w), axis=-1)
+    if np.any(nonfinite):
+        raise DomainError(f"vector {w[nonfinite][0].tolist()} has a non-finite component")
     if nonzero and np.any((w[..., 0] == 0.0) & (w[..., 1] == 0.0)):
         raise DomainError("zero vector is outside the metric's domain")
     return w
@@ -133,66 +134,42 @@ def volume_density(p, cfg: RandersConfig) -> np.ndarray:
     return cfg.kappa * sigma_alpha(p)
 
 
-@dataclasses.dataclass(frozen=True)
-class ChristoffelSymbols:
-    """gamma1[..., i, j] = gamma^1_ij, gamma2[..., i, j] = gamma^2_ij."""
-
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-
-
-def christoffel(p) -> ChristoffelSymbols:
+def christoffel(p) -> np.ndarray:
+    """Christoffel symbols of alpha, shape (..., 2, 2, 2): [..., k, i, j] is gamma^k_ij."""
     q = _as_point(p)
     x1, x2 = q[..., 0], q[..., 1]
     c = 2.0 / (1.0 - x1 * x1 - x2 * x2)
-
-    def symbols(rows) -> np.ndarray:
-        return np.moveaxis(c * np.array(rows), (0, 1), (-2, -1))
-
-    return ChristoffelSymbols(symbols([[x1, x2], [x2, -x1]]), symbols([[-x2, x1], [x1, x2]]))
+    symbols = [[[x1, x2], [x2, -x1]], [[-x2, x1], [x1, x2]]]
+    return np.moveaxis(c * np.array(symbols), (0, 1, 2), (-3, -2, -1))
 
 
-@dataclasses.dataclass(frozen=True)
-class FundamentalTensor:
-    g11: float
-    g12: float
-    g22: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.g11, self.g12], [self.g12, self.g22]])
-
-    def contract(self, v) -> float:
-        w = np.asarray(v, dtype=float)
-        return float(w @ self.matrix @ w)
-
-
-def fundamental_tensor(p, v, cfg: RandersConfig) -> FundamentalTensor:
-    """Velocity Hessian of F^2/2 by central differences at step 1e-4*|v|,
-    at one point and one vector (the only function here that does not
-    take arrays of them).
+def fundamental_tensor(p, v, cfg: RandersConfig) -> np.ndarray:
+    """Velocity Hessian g_ij of F^2/2, shape (..., 2, 2), by central
+    differences at step 1e-4*|v|.
 
     Validated by the contraction identity v^i v^j g_ij = F^2; positive
     definiteness is checked and a failure signals step misconfiguration.
     """
     q = _as_point(p)
     w = _as_vector(v)
-    if q.ndim + w.ndim != 2:
-        raise DomainError(f"fundamental tensor takes one point and one vector, got {q.shape} and {w.shape}")
-    h = _TENSOR_REL_STEP * math.hypot(w[0], w[1])
+    h = _TENSOR_REL_STEP * np.hypot(w[..., 0], w[..., 1])
 
-    def half_f2(v1: float, v2: float) -> float:
-        val = finsler_norm(q, (v1, v2), cfg)
+    def half_f2(s1, s2) -> np.ndarray:
+        moved = np.stack(np.broadcast_arrays(w[..., 0] + s1, w[..., 1] + s2), axis=-1)
+        val = finsler_norm(q, moved, cfg)
         return 0.5 * val * val
 
-    g11 = fd.d2_central(lambda s: half_f2(w[0] + s, w[1]), 0.0, h)
-    g22 = fd.d2_central(lambda s: half_f2(w[0], w[1] + s), 0.0, h)
-    g12 = fd.mixed_2nd(lambda s, u: half_f2(w[0] + s, w[1] + u), 0.0, 0.0, h, h)
-    if not (g11 > 0.0 and g11 * g22 - g12 * g12 > 0.0):
+    g11 = fd.d2_central(lambda s: half_f2(s, 0.0), 0.0, h)
+    g22 = fd.d2_central(lambda s: half_f2(0.0, s), 0.0, h)
+    g12 = fd.mixed_2nd(half_f2, 0.0, 0.0, h, h)
+    indefinite = ~((g11 > 0.0) & (g11 * g22 - g12 * g12 > 0.0))
+    if np.any(indefinite):
+        qb, wb = np.broadcast_arrays(q, w)
         raise VerificationError(
-            f"fundamental tensor lost positive definiteness at p={q.tolist()}, v={w.tolist()}"
+            "fundamental tensor lost positive definiteness at "
+            f"p={qb[indefinite][0].tolist()}, v={wb[indefinite][0].tolist()}"
         )
-    return FundamentalTensor(g11, g12, g22)
+    return np.stack([np.stack([g11, g12], axis=-1), np.stack([g12, g22], axis=-1)], axis=-2)
 
 
 def _position_gradient(f, q: np.ndarray) -> np.ndarray:
@@ -224,7 +201,7 @@ def yasuda_shimada_residual(p, cfg: RandersConfig) -> np.ndarray:
     a_ij = (4.0 / (s * s))[..., None, None] * np.eye(2)
     b1, b2 = bcov[..., 0, None, None], bcov[..., 1, None, None]
     outer = bcov[..., :, None] * bcov[..., None, :]
-    return jac - b1 * gam.gamma1 - b2 * gam.gamma2 - _LAMBDA_YS * (a_ij - outer)
+    return jac - b1 * gam[..., 0, :, :] - b2 * gam[..., 1, :, :] - _LAMBDA_YS * (a_ij - outer)
 
 
 def disc_grid() -> np.ndarray:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .config import RandersConfig
-from .curves import TWO_PI, Circle, _PolarCurve
+from .curves import TWO_PI, Circle, _PolarCurve, require_radius
 from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid
 from . import fd
@@ -54,8 +54,7 @@ def lagrangian(x1, x2, v1, v2, kap: float, lam: float):
 
 def lambda_for_circle(a: float, cfg: RandersConfig) -> float:
     """Multiplier of the extremal circle: -2 a kappa/(1 + a^2), negative on (0,1)."""
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"circle radius must lie in (0, 1), got {a}")
+    require_radius(a)
     return -2.0 * a * cfg.kappa / (1.0 + a * a)
 
 
@@ -153,19 +152,13 @@ def weierstrass_closed(p, xdot, u, lam: float) -> np.ndarray:
 # -- velocity Hessian of h ------------------------------------------------------
 
 def h1_along(circle: Circle, kap: float, lam: float, t: float = 0.0) -> float:
-    """Velocity-Hessian trace h_v1v1 + h_v2v2 at (gamma(t), gamma'(t)).
+    """Velocity-Hessian trace h_v1v1 + h_v2v2 at (gamma(t), gamma'(t)), as two summed forms.
 
     Along an extremal circle this equals 2 lam/(a (1 - a^2)), the scalar whose
     negativity rules out conjugate points; the chart coefficient of the Jacobi
     system is this value divided by |gamma'|^2 = a^2.
     """
-    sample = circle.eval(t)
-    x1, x2 = sample.point
-    v1, v2 = sample.velocity
-    step = _HESS_REL_STEP * circle.a
-    t11 = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_, v2, kap, lam), 0.0, step)
-    t22 = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1, v2 + s_, kap, lam), 0.0, step)
-    return t11 + t22
+    return float(np.sum(hessian_velocity_form(circle, kap, lam, t, np.eye(2))))
 
 
 def hessian_velocity_form(circle: Circle, kap: float, lam: float, t, y) -> np.ndarray:

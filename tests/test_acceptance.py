@@ -70,9 +70,9 @@ def test_criterion_01_drift_norm_constancy():
         cfg = RandersConfig(b)
         for p in points:
             # the fundamental tensor contracts any direction back to F^2
-            for v in ((1.0, 0.0), (0.0, 1.0), (-p[1], p[0])):
+            for v in np.array([(1.0, 0.0), (0.0, 1.0), (-p[1], p[0])]):
                 F = finsler_norm(p, v, cfg)
-                err = abs(fundamental_tensor(p, v, cfg).contract(v) - F * F) / (F * F)
+                err = abs(v @ fundamental_tensor(p, v, cfg) @ v - F * F) / (F * F)
                 worst_contract = max(worst_contract, err)
             # a^{ij} b_i b_j for the Riemannian part: beta has alpha-norm b,
             # so the contraction against the inverse metric must return b^2
@@ -176,12 +176,12 @@ def test_criterion_07_weierstrass():
     assert worst <= 1e-8
     # equality holds exactly when u is a positive multiple of xdot
     circle = Circle(0.5)
-    s = circle.eval(0.3)
-    assert weierstrass_E(s.point, s.velocity, 3.0 * s.velocity, kap, lam) == pytest.approx(
+    point, velocity = circle.batch(0.3)
+    assert weierstrass_E(point, velocity, 3.0 * velocity, kap, lam) == pytest.approx(
         0.0, abs=1e-12
     )
-    perp = (-s.velocity[1], s.velocity[0])
-    assert weierstrass_E(s.point, s.velocity, perp, kap, lam) < -1e-3
+    perp = (-velocity[1], velocity[0])
+    assert weierstrass_E(point, velocity, perp, kap, lam) < -1e-3
     report(7, "Weierstrass excess", f"max defn-vs-closed err = {worst:.3e}")
 
 

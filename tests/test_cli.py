@@ -1,6 +1,9 @@
 import inspect
 import json
 import math
+import os
+import shlex
+import stat
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,8 @@ from randers_disc import (
 from randers_disc.cli import main
 from randers_disc.metric import check_metric
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "docs" / "schemas"
 
 
 def load_registry():
@@ -196,6 +200,52 @@ def test_error_class_sets_exit_code(cls, capsys, monkeypatch):
     monkeypatch.setitem(cli._DISPATCH, "check-metric", raising)
     assert main(["check-metric"]) == (2 if issubclass(cls, DomainError) else 1)
     assert capsys.readouterr().err == "error: injected\n"
+
+
+def test_reports_are_written_with_the_umask_mode(tmp_path):
+    replaced = tmp_path / "old.json"
+    replaced.write_text("{}")
+    replaced.chmod(0o600)
+    umask = os.umask(0o022)
+    try:
+        for out in (tmp_path / "new.json", replaced):
+            assert main(["check-metric", "--b", "0.5", "--output", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    for out in (tmp_path / "new.json", replaced):
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+# -- the README commands --------------------------------------------------------
+
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for block in (ROOT / "README.md").read_text().split("```sh\n")[1:]
+    for line in block.split("```", 1)[0].splitlines()
+    if line.startswith("randers-disc ")
+]
+DOCUMENT_SCHEMAS = {
+    "certificate": "certificate.schema.json",
+    "conjugate": "conjugate.schema.json",
+    "check-metric": "check_metric.schema.json",
+}
+
+
+def test_readme_shows_every_subcommand():
+    assert sorted(argv[0] for argv in README_COMMANDS) == sorted(cli._DISPATCH)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_command_runs(argv, tmp_path):
+    i = argv.index("--output")
+    out = tmp_path / argv[i + 1]
+    assert main([*argv[:i], "--output", str(out), *argv[i + 2:]]) == 0
+    if argv[0] in DOCUMENT_SCHEMAS:
+        validate(json.loads(out.read_text()), DOCUMENT_SCHEMAS[argv[0]])
+    else:
+        # CSV reports carry the config echo as their first line
+        header = out.read_text().splitlines()[0]
+        validate(json.loads(header.removeprefix("# config ")), "config.schema.json")
 
 
 # -- certificate --------------------------------------------------------------

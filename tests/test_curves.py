@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,22 +6,26 @@ from hypothesis import strategies as st
 from randers_disc import (
     Circle,
     DomainError,
+    PerturbationSpec,
     PolarFourierCurve,
+    RandersConfig,
     VerificationError,
     check_admissible,
+    circle_closed_forms,
+    generate_perturbations,
+    lambda_for_circle,
     require_admissible,
 )
-from randers_disc.curves import TWO_PI, reduce_parameter
+from randers_disc.curves import TWO_PI
 from randers_disc import fd
 
 small_coeffs = st.lists(st.floats(-0.03, 0.03), min_size=1, max_size=4)
 
 
-def test_circle_eval_basic():
-    c = Circle(0.5)
-    s = c.eval(0.0)
-    assert s.point.tolist() == [0.5, 0.0]
-    assert s.velocity.tolist() == [0.0, 0.5]
+def test_circle_batch_basic():
+    point, velocity = Circle(0.5).batch(0.0)
+    assert point.tolist() == [0.5, 0.0]
+    assert velocity.tolist() == [0.0, 0.5]
 
 
 def test_circle_radius_validation():
@@ -32,28 +34,35 @@ def test_circle_radius_validation():
             Circle(bad)
 
 
-def test_parameter_reduction_exact():
-    assert reduce_parameter(TWO_PI) == 0.0
-    assert reduce_parameter(-1.0) == TWO_PI - 1.0
-    # 1.0 + 2*pi is exactly representable, so fmod reduction is bit-exact
-    assert reduce_parameter(1.0 + TWO_PI) == 1.0
+@pytest.mark.parametrize(
+    "takes_radius",
+    [
+        Circle,
+        lambda a: circle_closed_forms(a, RandersConfig(0.3)),
+        lambda a: lambda_for_circle(a, RandersConfig(0.3)),
+        lambda a: generate_perturbations(PerturbationSpec(count=1), a),
+    ],
+    ids=["Circle", "circle_closed_forms", "lambda_for_circle", "generate_perturbations"],
+)
+@pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
+def test_every_radius_check_is_the_circle_rule(takes_radius, bad):
+    with pytest.raises(DomainError, match=rf"^circle radius must lie in \(0, 1\), got {bad}$"):
+        takes_radius(bad)
 
 
-def test_periodicity_bitwise():
+def test_batch_is_periodic():
+    # t is not reduced modulo 2*pi, so a period shift moves values by roundoff only
     curve = PolarFourierCurve(0.5, (0.03, -0.01), (0.02, 0.005))
-    for t in (0.0, 0.5, 1.0):
-        a, b = curve.eval(t), curve.eval(t + TWO_PI)
-        assert a.point.tolist() == b.point.tolist()
-        assert a.velocity.tolist() == b.velocity.tolist()
+    ts = np.array([0.0, 0.5, 1.0])
+    for a, b in zip(curve.batch(ts), curve.batch(ts + TWO_PI)):
+        assert a == pytest.approx(b, abs=1e-14)
 
 
 def test_velocity_matches_position_derivative():
     curve = PolarFourierCurve(0.5, (0.04, 0.0, 0.01), (0.0, -0.02, 0.0))
-    for t in (0.3, 1.7, 4.4):
-        s = curve.eval(t)
-        for i in range(2):
-            num = fd.d1_central(lambda u, i=i: curve.eval(u).point[i], t, 1e-6)
-            assert num == pytest.approx(s.velocity[i], abs=1e-8)
+    ts = np.array([0.3, 1.7, 4.4])
+    num = fd.d1_central(lambda u: curve.batch(u)[0], ts, 1e-6)
+    assert num == pytest.approx(curve.batch(ts)[1], abs=1e-8)
 
 
 def test_circle_equals_zero_coefficient_fourier_bitwise():
@@ -66,25 +75,25 @@ def test_circle_equals_zero_coefficient_fourier_bitwise():
     assert pc.tolist() == pf.tolist()
     assert vc.tolist() == vf.tolist()
     for t in (0.0, 1.25, 5.0):
-        assert circle.eval(t).point.tolist() == fourier.eval(t).point.tolist()
+        assert circle.batch(t)[0].tolist() == fourier.batch(t)[0].tolist()
 
 
 def test_polar_identities():
     curve = PolarFourierCurve(0.45, (0.05,), (-0.02,))
-    for t in (0.2, 2.1, 3.9):
-        s = curve.eval(t)
-        r, _ = curve.radius_batch(np.array(t))
-        assert math.hypot(*s.point) == pytest.approx(r, rel=1e-14)
-        cross = s.point[0] * s.velocity[1] - s.point[1] * s.velocity[0]
-        assert cross == pytest.approx(r * r, rel=1e-13)
+    ts = np.array([0.2, 2.1, 3.9])
+    points, velocities = curve.batch(ts)
+    r, _ = curve.radius_batch(ts)
+    assert np.hypot(points[:, 0], points[:, 1]) == pytest.approx(r, rel=1e-14)
+    cross = points[:, 0] * velocities[:, 1] - points[:, 1] * velocities[:, 0]
+    assert cross == pytest.approx(r * r, rel=1e-13)
 
 
 @given(coeffs=small_coeffs, t=st.floats(0.0, 20.0))
 def test_speed_identity_property(coeffs, t):
     curve = PolarFourierCurve(0.5, tuple(coeffs), tuple(0.0 for _ in coeffs))
-    s = curve.eval(t)
-    r, rd = curve.radius_batch(np.array(s.t))
-    assert float(s.velocity @ s.velocity) == pytest.approx(r * r + rd * rd, rel=1e-12)
+    _, velocity = curve.batch(t)
+    r, rd = curve.radius_batch(np.array(t))
+    assert float(velocity @ velocity) == pytest.approx(r * r + rd * rd, rel=1e-12)
 
 
 def test_unequal_coefficient_lists_rejected():
@@ -101,11 +110,6 @@ def test_admissibility_cases():
     assert not check_admissible(PolarFourierCurve(0.95, (0.1,), (0.0,)))
     with pytest.raises(VerificationError, match="leaves the admissible polar-graph class"):
         require_admissible(PolarFourierCurve(0.5, (0.6,), (0.0,)))
-
-
-def test_degenerate_curve_eval_raises():
-    with pytest.raises(VerificationError, match="velocity vanishes"):
-        PolarFourierCurve(0.0, (), ()).eval(0.3)
 
 
 def test_rotation_shifts_the_radius_function():

@@ -99,6 +99,11 @@ def test_match_length_bracketing_failure(cfg_bh):
         match_length(PolarFourierCurve(0.5, (0.3,), (0.0,)), 1.0, cfg_bh)
 
 
+def test_match_length_nan_target_raises(cfg_bh):
+    with pytest.raises(VerificationError, match="target length nan not bracketed"):
+        match_length(PolarFourierCurve(0.5, (0.01,), (0.0,)), math.nan, cfg_bh)
+
+
 # -- trials -------------------------------------------------------------------
 
 def test_run_trials_all_decrease_and_deterministic(cfg_bh):

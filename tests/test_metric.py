@@ -135,16 +135,16 @@ def test_christoffel_closed_form():
     p = (0.3, -0.2)
     c = 2.0 / (1.0 - 0.09 - 0.04)
     gam = christoffel(p)
-    assert np.allclose(gam.gamma1, c * np.array([[0.3, -0.2], [-0.2, -0.3]]), rtol=1e-15)
-    assert np.allclose(gam.gamma2, c * np.array([[0.2, 0.3], [0.3, -0.2]]), rtol=1e-15)
+    assert np.allclose(gam[0], c * np.array([[0.3, -0.2], [-0.2, -0.3]]), rtol=1e-15)
+    assert np.allclose(gam[1], c * np.array([[0.2, 0.3], [0.3, -0.2]]), rtol=1e-15)
 
 
 def test_fundamental_tensor_riemannian_diagonal():
     g = fundamental_tensor((0.3, 0.1), (0.4, -1.2), RandersConfig(0.0))
     expect = 4.0 / (1.0 - 0.1) ** 2
-    assert g.g11 == pytest.approx(expect, rel=1e-6)
-    assert g.g22 == pytest.approx(expect, rel=1e-6)
-    assert g.g12 == pytest.approx(0.0, abs=1e-6)
+    assert g[0, 0] == pytest.approx(expect, rel=1e-6)
+    assert g[1, 1] == pytest.approx(expect, rel=1e-6)
+    assert g[0, 1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_fundamental_tensor_contraction_and_homogeneity():
@@ -152,11 +152,9 @@ def test_fundamental_tensor_contraction_and_homogeneity():
     p, v = (0.3, -0.4), (1.0, 0.7)
     g = fundamental_tensor(p, v, cfg)
     f2 = finsler_norm(p, v, cfg) ** 2
-    assert g.contract(v) == pytest.approx(f2, rel=1e-6)
+    assert v @ g @ v == pytest.approx(f2, rel=1e-6)
     g2 = fundamental_tensor(p, (2.0, 1.4), cfg)
-    assert g2.g11 == pytest.approx(g.g11, rel=1e-6)
-    assert g2.g12 == pytest.approx(g.g12, rel=1e-6)
-    assert g2.g22 == pytest.approx(g.g22, rel=1e-6)
+    assert g2 == pytest.approx(g, rel=1e-6)
 
 
 @given(p=points_strategy, v=vectors_strategy, b=st.floats(0.0, 0.8))
@@ -164,13 +162,13 @@ def test_contraction_identity_property(p, v, b):
     cfg = RandersConfig(b)
     g = fundamental_tensor(p, v, cfg)
     f2 = finsler_norm(p, v, cfg) ** 2
-    assert abs(g.contract(v) - f2) <= 1e-6 * max(1.0, abs(f2))
+    assert abs(v @ g @ v - f2) <= 1e-6 * max(1.0, abs(f2))
 
 
 def test_fundamental_tensor_positive_definite_near_boundary_of_b():
     # strong convexity survives up to b < 1; a large drift is still fine
     g = fundamental_tensor((0.2, 0.2), (-1.0, 0.3), RandersConfig(0.95))
-    assert g.g11 > 0.0 and g.g11 * g.g22 - g.g12**2 > 0.0
+    assert g[0, 0] > 0.0 and np.linalg.det(g) > 0.0
 
 
 def test_yasuda_shimada_frozen_point():
@@ -218,9 +216,9 @@ def test_array_calls_equal_per_point_calls_bitwise(b):
     for fn in (lambda p: potential(p, cfg), sigma_alpha, lambda p: volume_density(p, cfg)):
         assert fn(points).tolist() == [float(fn(p)) for p in points]
     assert beta_covector(points, cfg).tolist() == [beta_covector(p, cfg).tolist() for p in points]
-    gam = christoffel(points)
-    assert gam.gamma1.tolist() == [christoffel(p).gamma1.tolist() for p in points]
-    assert gam.gamma2.tolist() == [christoffel(p).gamma2.tolist() for p in points]
+    assert christoffel(points).tolist() == [christoffel(p).tolist() for p in points]
+    g = fundamental_tensor(points[:, None], DIRECTIONS, cfg)
+    assert g.reshape(-1, 2, 2).tolist() == [fundamental_tensor(p, v, cfg).tolist() for p, v in pairs]
     if b > 0.0:
         R = yasuda_shimada_residual(points, cfg)
         assert R.tolist() == [yasuda_shimada_residual(p, cfg).tolist() for p in points]
@@ -238,8 +236,42 @@ def test_array_calls_reject_any_bad_entry():
         yasuda_shimada_residual(np.vstack([points, [(0.005, 0.0)]]), RandersConfig(0.5))
     with pytest.raises(DomainError, match="two coordinates"):
         sigma_alpha(np.zeros((4, 3)))
-    with pytest.raises(DomainError, match="one point and one vector"):
-        fundamental_tensor(points, (1.0, 0.0), RandersConfig(0.3))
+    with pytest.raises(DomainError, match="zero vector"):
+        fundamental_tensor(points, np.vstack([points[1:], [(0.0, 0.0)]]), RandersConfig(0.3))
+
+
+NAN = math.nan
+CFG = RandersConfig(0.3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: alpha_norm((0.1, NAN), (1.0, 0.0)), r"point \[0.1, nan\]"),
+        (lambda: alpha_norm((0.1, 0.1), (1.0, math.inf)), r"vector \[1.0, inf\] has a non-finite"),
+        (lambda: finsler_norm((NAN, 0.1), (1.0, 0.0), CFG), r"point \[nan, 0.1\]"),
+        (lambda: finsler_norm((0.1, 0.1), (NAN, 0.0), CFG), r"vector \[nan, 0.0\] has a non-finite"),
+        (lambda: beta_value((0.1, 0.1), (0.0, NAN), CFG), r"vector \[0.0, nan\] has a non-finite"),
+        (lambda: beta_covector((NAN, NAN), CFG), r"point \[nan, nan\]"),
+        (lambda: potential((0.2, NAN), CFG), r"point \[0.2, nan\]"),
+        (lambda: sigma_alpha((NAN, 0.0)), r"point \[nan, 0.0\]"),
+        (lambda: volume_density((-math.inf, 0.0), CFG), r"point \[-inf, 0.0\]"),
+        (lambda: christoffel((0.1, NAN)), r"point \[0.1, nan\]"),
+        (lambda: fundamental_tensor((0.1, 0.1), (NAN, 1.0), CFG), r"vector \[nan, 1.0\] has a non-finite"),
+        (lambda: yasuda_shimada_residual((NAN, 0.3), CFG), r"point \[nan, 0.3\]"),
+        # the first bad entry of an array is named
+        (lambda: finsler_norm(np.array([(0.1, 0.1), (0.2, NAN), (NAN, 0.0)]), (1.0, 0.0), CFG),
+         r"point \[0.2, nan\]"),
+    ],
+    ids=[
+        "alpha_norm-point", "alpha_norm-vector", "finsler_norm-point", "finsler_norm-vector",
+        "beta_value-vector", "beta_covector", "potential", "sigma_alpha", "volume_density",
+        "christoffel", "fundamental_tensor", "yasuda_shimada_residual", "first-bad-entry",
+    ],
+)
+def test_non_finite_input_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def check_metric_per_point(cfg):

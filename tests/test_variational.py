@@ -28,8 +28,9 @@ from randers_disc import (
     weierstrass_E,
     weierstrass_closed,
 )
-from randers_disc import variational
+from randers_disc import fd, variational
 from randers_disc.curves import TWO_PI
+from randers_disc.variational import lagrangian
 
 # frozen chart/scan oracles at a=1/2, b=3/10, Busemann-Hausdorff
 FROZEN = {
@@ -173,18 +174,18 @@ def test_weierstrass_orthogonal_unit_example():
 
 
 def test_weierstrass_tangent_scaling_gives_zero(system_half, circle_half):
-    s = circle_half.eval(0.9)
-    assert weierstrass_E(s.point, s.velocity, 2.0 * s.velocity, *system_half) == pytest.approx(
+    point, velocity = circle_half.batch(0.9)
+    assert weierstrass_E(point, velocity, 2.0 * velocity, *system_half) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_weierstrass_reversal_value(system_half, circle_half):
-    s = circle_half.eval(1.3)
-    speed = math.hypot(*s.velocity)
+    point, velocity = circle_half.batch(1.3)
+    speed = math.hypot(*velocity)
     _, lam = system_half
     expect = 4.0 * lam * speed / (1.0 - 0.25)
-    assert weierstrass_E(s.point, s.velocity, -s.velocity, *system_half) == pytest.approx(
+    assert weierstrass_E(point, velocity, -velocity, *system_half) == pytest.approx(
         expect, rel=1e-12
     )
 
@@ -208,12 +209,12 @@ def test_weierstrass_defining_matches_closed_form(rng, system_half):
 
 def test_weierstrass_strictly_negative_off_tangent(system_half, circle_half):
     for t in np.linspace(0.0, TWO_PI, 8, endpoint=False):
-        s = circle_half.eval(float(t))
-        base = math.atan2(s.velocity[1], s.velocity[0])
-        speed = math.hypot(*s.velocity)
+        point, velocity = circle_half.batch(float(t))
+        base = math.atan2(velocity[1], velocity[0])
+        speed = math.hypot(*velocity)
         for phi in np.linspace(1e-3, TWO_PI - 1e-3, 25):
             u = speed * np.array([math.cos(base + phi), math.sin(base + phi)])
-            assert weierstrass_E(s.point, s.velocity, u, *system_half) < 0.0
+            assert weierstrass_E(point, velocity, u, *system_half) < 0.0
 
 
 # -- velocity Hessian ---------------------------------------------------------
@@ -230,6 +231,24 @@ def test_h1_trace_frozen_value(circle_half, system_half):
     assert h1_along(circle_half, *system_half) == pytest.approx(
         FROZEN["h1_trace"], abs=1e-8 * abs(FROZEN["h1_trace"])
     )
+
+
+def h1_two_stencils(circle, kap, lam, t=0.0):
+    """Reference trace: one 5-point stencil per coordinate axis, summed."""
+    (x1, x2), (v1, v2) = circle.batch(t)
+    step = variational._HESS_REL_STEP * circle.a
+    t11 = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_, v2, kap, lam), 0.0, step)
+    t22 = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1, v2 + s_, kap, lam), 0.0, step)
+    return t11 + t22
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8, 0.99])
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.7])
+def test_h1_is_the_summed_hessian_form_bitwise(a, b):
+    for form in VolumeForm:
+        cfg = RandersConfig(b, form)
+        system = (cfg.kappa, lambda_for_circle(a, cfg))
+        assert h1_along(Circle(a), *system) == h1_two_stencils(Circle(a), *system)
 
 
 def test_hessian_form_normal_direction_equals_trace():
@@ -258,8 +277,8 @@ def test_hessian_form_matches_closed_form(rng, circle_half, system_half):
 
 
 def test_hessian_form_tangential_and_zero(circle_half, system_half):
-    s = circle_half.eval(0.7)
-    assert abs(hessian_velocity_form(circle_half, *system_half, 0.7, s.velocity)) <= 1e-8
+    _, velocity = circle_half.batch(0.7)
+    assert abs(hessian_velocity_form(circle_half, *system_half, 0.7, velocity)) <= 1e-8
     assert hessian_velocity_form(circle_half, *system_half, 0.7, (0.0, 0.0)) == 0.0
 
 
@@ -533,7 +552,8 @@ def test_certificate_samples_each_check_in_one_call(cfg_bh, monkeypatch):
     for name in calls:
         monkeypatch.setattr(variational, name, counted(name))
     assert build_certificate(0.5, cfg_bh).passed
-    assert calls == {"weierstrass_E": 1, "hessian_velocity_form": 1}
+    # the Hessian form samples once for the check and once for h1
+    assert calls == {"weierstrass_E": 1, "hessian_velocity_form": 2}
 
 
 def test_certificate_json_shape(cfg_bh):
