@@ -27,11 +27,13 @@ def main() -> int:
                 cfg = RandersConfig(b, form)
                 cert = build_certificate(a, cfg, n_probes=args.probes, probe_seed=args.seed)
                 status = "pass" if cert.passed else "FAIL"
+                # a scan that raised leaves no report, and the certificate fails
+                min_d = "n/a" if cert.conjugate is None else f"{cert.conjugate.min_abs_D:.3e}"
                 print(
                     f"a={a:<4} b={b:<4} form={form.value:<4} {status}  "
                     f"lam={cert.lam:+.6f}  el={cert.el_residual_max:.2e}  "
                     f"E_max={cert.weierstrass_max:+.3e}  J''_max={cert.second_variation_max:+.3e}  "
-                    f"minD={cert.conjugate.min_abs_D:.3e}"
+                    f"minD={min_d}"
                 )
                 failures += 0 if cert.passed else 1
     print(f"# {time.time() - t0:.1f}s, {failures} failures")

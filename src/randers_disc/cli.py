@@ -30,6 +30,7 @@ from .variational import (
     SCAN_STEPS,
     build_certificate,
     conjugate_scan,
+    determinant_curve,
     lambda_for_circle,
 )
 
@@ -152,6 +153,7 @@ def cmd_conjugate(cfg: RunConfig) -> int:
     rc = RandersConfig(cfg.b, cfg.form)
     lam = lambda_for_circle(cfg.a, rc)
     report = conjugate_scan(Circle(cfg.a), rc.kappa, lam, scan_points=cfg.scan_points, n_steps=cfg.scan_steps)
+    cs, Ds = determinant_curve(report.coeffs, cfg.scan_points, cfg.scan_steps)
     doc = {
         "config": cfg.echo(),
         "lambda": lam,
@@ -159,8 +161,8 @@ def cmd_conjugate(cfg: RunConfig) -> int:
         "zero_crossing": report.zero_crossing,
         "min_abs_D": report.min_abs_D,
         "step_halving": report.step_halving,
-        "c_values": report.c_values.tolist(),
-        "D_values": report.D_values.tolist(),
+        "c_values": cs.tolist(),
+        "D_values": Ds.tolist(),
     }
     _emit(cfg, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if not report.zero_crossing else 1

@@ -9,8 +9,10 @@ A circle passes when, with its multiplier lam = -2 a kappa/(1 + a^2):
   (i)   the Euler-Lagrange residual vanishes along the curve,
   (ii)  the constraint gradient (P1, P2) never vanishes (normality),
   (iii) the Weierstrass excess is negative off the tangent direction,
-  (iv)  second-variation probes are negative and the Jacobi determinant
-        D(c) has no interior zero over one period,
+  (iv)  the second variation, one symmetric matrix on a windowed trigonometric
+        basis, is negative on random probes projected onto the linearized
+        length constraint, and the Jacobi determinant D(c) has no interior
+        zero over one period,
   (v)   the velocity Hessian of h is negative off the tangent direction.
 """
 from __future__ import annotations
@@ -259,9 +261,9 @@ def jacobi_coeffs(circle: Circle, kap: float, lam: float, t: float = 0.0) -> Jac
 
 @dataclasses.dataclass(frozen=True)
 class ConjugateScanReport:
+    """Verdict and margins of one conjugate scan; determinant_curve gives D(c) itself."""
+
     coeffs: JacobiCoefficients   # at t = 0, the coefficients the scan integrates
-    c_values: np.ndarray
-    D_values: np.ndarray
     zero_crossing: bool
     min_abs_D: float
     step_halving: float
@@ -300,6 +302,12 @@ def _rk4_determinants(h1: float, h2: float, U: float, n_steps: int, stride: int)
     return out
 
 
+def determinant_curve(coeffs: JacobiCoefficients, scan_points: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, D(c)) at the scan_points c = 2*pi*i/scan_points, i = 1..scan_points, by n_steps RK4 steps."""
+    cs = TWO_PI * np.arange(1, scan_points + 1) / scan_points
+    return cs, _rk4_determinants(coeffs.h1, coeffs.h2, coeffs.U, n_steps, n_steps // scan_points)
+
+
 def conjugate_scan(
     circle: Circle,
     kap: float,
@@ -326,10 +334,8 @@ def conjugate_scan(
         if not abs(getattr(check, name) - value) <= 1e-4 * abs(value):
             raise VerificationError(f"Jacobi coefficient {name} is not constant along the circle")
 
-    stride = n_steps // scan_points
-    cs = TWO_PI * np.arange(1, scan_points + 1) / scan_points
-    Ds = _rk4_determinants(coeffs.h1, coeffs.h2, coeffs.U, n_steps, stride)
-    Ds_half = _rk4_determinants(coeffs.h1, coeffs.h2, coeffs.U, 2 * n_steps, 2 * stride)
+    cs, Ds = determinant_curve(coeffs, scan_points, n_steps)
+    _, Ds_half = determinant_curve(coeffs, scan_points, 2 * n_steps)
     if not (np.all(np.isfinite(Ds)) and np.all(np.isfinite(Ds_half))):
         raise VerificationError("conjugate scan produced non-finite determinants")
     scale = float(np.max(np.abs(Ds)))
@@ -349,8 +355,6 @@ def conjugate_scan(
     small = bool(np.any(gapped < _ZERO_REL_TOL * scale))
     return ConjugateScanReport(
         coeffs=coeffs,
-        c_values=cs,
-        D_values=Ds,
         zero_crossing=sign_change or small,
         min_abs_D=min_abs,
         step_halving=step_halving,
@@ -358,8 +362,21 @@ def conjugate_scan(
 
 
 # -- second variation ------------------------------------------------------------
+#    A probe is a coefficient vector v on the window basis, component 1 then
+#    component 2.  J'' is the quadratic form v . M v, and the linearized length
+#    constraint the linear form ell . v; M and ell are assembled once per circle.
 
 _PROBE_HARMONICS = 6
+
+
+def _window_basis(ts: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin(t/2) * [1, cos kt (k=1..K), sin kt (k=1..K)] and its t-derivative, each (2K+1, len(ts))."""
+    k = np.arange(1, K + 1)[:, None]
+    cos, sin = np.cos(k * ts), np.sin(k * ts)
+    P = np.concatenate([np.ones((1, ts.size)), cos, sin])
+    dP = np.concatenate([np.zeros((1, ts.size)), -k * sin, k * cos])
+    win, dwin = np.sin(0.5 * ts), 0.5 * np.cos(0.5 * ts)
+    return win * P, dwin * P + win * dP
 
 
 @dataclasses.dataclass(frozen=True)
@@ -384,25 +401,8 @@ class VariationProbe:
         return (len(self.coeffs1) - 1) // 2
 
     @classmethod
-    def zero(cls, harmonics: int = _PROBE_HARMONICS) -> "VariationProbe":
-        m = 2 * harmonics + 1
-        return cls((0.0,) * m, (0.0,) * m)
-
-    @classmethod
     def random(cls, rng: np.random.Generator, harmonics: int = _PROBE_HARMONICS) -> "VariationProbe":
-        m = 2 * harmonics + 1
-        flat = rng.standard_normal(2 * m)
-        return cls(tuple(flat[:m]), tuple(flat[m:]))
-
-    @classmethod
-    def tangential(cls, circle: Circle, harmonics: int = _PROBE_HARMONICS) -> "VariationProbe":
-        """y = sin(t/2) * gamma'(t): the excluded reparametrization direction."""
-        m = 2 * harmonics + 1
-        c1 = [0.0] * m
-        c2 = [0.0] * m
-        c1[1 + harmonics] = -circle.a  # sin t coefficient
-        c2[1] = circle.a               # cos t coefficient
-        return cls(tuple(c1), tuple(c2))
+        return cls.from_vector(rng.standard_normal(2 * (2 * harmonics + 1)))
 
     def to_vector(self) -> np.ndarray:
         return np.array(self.coeffs1 + self.coeffs2)
@@ -414,22 +414,9 @@ class VariationProbe:
 
     def fields(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, ydot) arrays of shape (len(ts), 2)."""
-        K = self.harmonics
-        win = np.sin(0.5 * ts)
-        dwin = 0.5 * np.cos(0.5 * ts)
-        ys = []
-        yds = []
-        for ci in (self.coeffs1, self.coeffs2):
-            P = np.full(ts.shape, ci[0])
-            dP = np.zeros(ts.shape)
-            for k in range(1, K + 1):
-                ck, sk = ci[k], ci[K + k]
-                c_, s_ = np.cos(k * ts), np.sin(k * ts)
-                P += ck * c_ + sk * s_
-                dP += k * (sk * c_ - ck * s_)
-            ys.append(win * P)
-            yds.append(dwin * P + win * dP)
-        return np.column_stack(ys), np.column_stack(yds)
+        B, dB = _window_basis(ts, self.harmonics)
+        coeffs = np.array([self.coeffs1, self.coeffs2])
+        return (coeffs @ B).T, (coeffs @ dB).T
 
 
 def _variation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,24 +428,25 @@ def _variation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ts, w
 
 
-def constraint_functional(circle: Circle, probe: VariationProbe, n: int = 1024) -> float:
-    """Linearized length constraint ell(y) = integral of g_x . y + g_v . ydot."""
+def constraint_vector(circle: Circle, harmonics: int = _PROBE_HARMONICS, n: int = 1024) -> np.ndarray:
+    """ell on each coefficient basis element: integral of g_x . y + g_v . ydot (length 2*(2K+1))."""
     ts, w = _variation_nodes(n)
     gx, gv = _g_gradients(*circle.batch(ts))
-    y, yd = probe.fields(ts)
-    integrand = gx[:, 0] * y[:, 0] + gx[:, 1] * y[:, 1] + gv[:, 0] * yd[:, 0] + gv[:, 1] * yd[:, 1]
-    return float(np.sum(w * integrand))
+    B, dB = _window_basis(ts, harmonics)
+    return np.concatenate([B @ (w * gx[:, c]) + dB @ (w * gv[:, c]) for c in range(2)])
 
 
-def constraint_vector(circle: Circle, harmonics: int = _PROBE_HARMONICS, n: int = 1024) -> np.ndarray:
-    """ell evaluated on each coefficient basis element (length 2*(2K+1))."""
-    m = 2 * harmonics + 1
-    out = np.empty(2 * m)
-    for i in range(2 * m):
-        vec = np.zeros(2 * m)
-        vec[i] = 1.0
-        out[i] = constraint_functional(circle, VariationProbe.from_vector(vec), n)
-    return out
+def constraint_functional(circle: Circle, probe: VariationProbe, n: int = 1024) -> float:
+    """Linearized length constraint ell(y) = integral of g_x . y + g_v . ydot."""
+    return float(constraint_vector(circle, probe.harmonics, n) @ probe.to_vector())
+
+
+def _onto_kernel(vecs: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a coefficient vector, or of each row of an array, onto ker(ell)."""
+    norm2 = float(ell @ ell)
+    if norm2 <= 0.0:
+        raise VerificationError("constraint functional vanishes on the whole probe basis")
+    return vecs - np.multiply.outer(vecs @ ell / norm2, ell)
 
 
 def project_probe(
@@ -470,11 +458,7 @@ def project_probe(
     """Orthogonal projection of the coefficients onto ker(ell)."""
     if ell is None:
         ell = constraint_vector(circle, probe.harmonics, n)
-    norm2 = float(ell @ ell)
-    if norm2 <= 0.0:
-        raise VerificationError("constraint functional vanishes on the whole probe basis")
-    vec = probe.to_vector()
-    return VariationProbe.from_vector(vec - (float(ell @ vec) / norm2) * ell)
+    return VariationProbe.from_vector(_onto_kernel(probe.to_vector(), ell))
 
 
 def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarray:
@@ -502,6 +486,31 @@ def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarr
     return H
 
 
+def second_variation_matrix(blocks: np.ndarray, n: int, harmonics: int = _PROBE_HARMONICS) -> np.ndarray:
+    """Symmetric M with J''(v) = v . M v, from the (4, 4, n+1) blocks on the n-panel nodes.
+
+    Component c of a basis field fills position slot c with the window basis
+    and velocity slot 2 + c with its derivative, so the (c, d) block of M is
+    the trapezoid sum of F_i (w H_ij) F_j over i in {c, 2+c}, j in {d, 2+d}.
+    """
+    ts, w = _variation_nodes(n)
+    B, dB = _window_basis(ts, harmonics)
+    F = (B, B, dB, dB)
+    m = len(B)
+    M = np.empty((2 * m, 2 * m))
+    for c in range(2):
+        for d in range(2):
+            M[c * m:(c + 1) * m, d * m:(d + 1) * m] = sum(
+                (F[i] * (w * blocks[i, j])) @ F[j].T for i in (c, 2 + c) for j in (d, 2 + d)
+            )
+    return 0.5 * (M + M.T)
+
+
+def _quadratic_forms(vecs: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v . M v for a coefficient vector, or for each row of an array."""
+    return np.sum((vecs @ M) * vecs, axis=-1)
+
+
 def second_variation(
     circle: Circle,
     kap: float,
@@ -510,29 +519,16 @@ def second_variation(
     n: int = 1024,
     blocks: np.ndarray | None = None,
 ) -> float:
-    """J'' = integral of the quadratic form 2*omega(t, y, ydot).
+    """J'' = integral of the quadratic form 2*omega(t, y, ydot), as v . M v.
 
     The probe is used as given; project_probe enforces the linearized length
     constraint, and tangential probes (y parallel to gamma') sit in the
     excluded reparametrization direction where J'' = 0.
     """
-    ts, w = _variation_nodes(n)
     if blocks is None:
-        blocks = hessian_blocks(circle.a, kap, lam, ts)
-    y, yd = probe.fields(ts)
-    y1, y2 = y[:, 0], y[:, 1]
-    d1, d2 = yd[:, 0], yd[:, 1]
-    H = blocks
-    two_omega = (
-        H[0, 0] * y1 * y1
-        + 2.0 * H[0, 1] * y1 * y2
-        + H[1, 1] * y2 * y2
-        + 2.0 * (H[0, 2] * y1 * d1 + H[0, 3] * y1 * d2 + H[1, 2] * y2 * d1 + H[1, 3] * y2 * d2)
-        + H[2, 2] * d1 * d1
-        + 2.0 * H[2, 3] * d1 * d2
-        + H[3, 3] * d2 * d2
-    )
-    return float(np.sum(w * two_omega))
+        blocks = hessian_blocks(circle.a, kap, lam, _variation_nodes(n)[0])
+    M = second_variation_matrix(blocks, n, probe.harmonics)
+    return float(_quadratic_forms(probe.to_vector(), M))
 
 
 # -- the certificate --------------------------------------------------------------
@@ -634,12 +630,11 @@ def build_certificate(
         return value
 
     def probe_max() -> float:
-        nodes, _ = _variation_nodes(grid.n)
-        blocks = hessian_blocks(a, kap, lam, nodes)
+        # row i is the i-th VariationProbe.random draw of one generator
+        M = second_variation_matrix(hessian_blocks(a, kap, lam, _variation_nodes(grid.n)[0]), grid.n)
         ell = constraint_vector(circle, n=grid.n)
-        rng = np.random.default_rng(probe_seed)
-        probes = (project_probe(circle, VariationProbe.random(rng), n=grid.n, ell=ell) for _ in range(n_probes))
-        return float(np.max([second_variation(circle, kap, lam, p, n=grid.n, blocks=blocks) for p in probes]))
+        probes = np.random.default_rng(probe_seed).standard_normal((n_probes, ell.size))
+        return float(np.max(_quadratic_forms(_onto_kernel(probes, ell), M)))
 
     # np.max/np.min propagate a NaN sample, so it fails its comparison below
     el_max = guarded("euler_lagrange", lambda: float(np.max(np.abs(el_residual(circle, kap, lam, ts)))))

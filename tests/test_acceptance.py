@@ -229,6 +229,7 @@ def test_criterion_10_second_variation_negative():
     report(10, "second variation", f"largest J'' over grid = {worst:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_11_strong_maximum_trials():
     spec = PerturbationSpec(seed=42, harmonics=4, epsilon=0.05, count=200)
     worst_delta = -math.inf

@@ -9,6 +9,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(argv):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -18,14 +28,18 @@ ROOT = Path(__file__).resolve().parents[1]
     ids=["certify_grid", "epsilon_scaling"],
 )
 def test_script_runs(argv):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    result = run_script(argv)
     assert result.returncode == 0, result.stderr
+
+
+def test_certify_grid_reports_a_failed_scan():
+    # at a = 0.999999 the Jacobi coefficients are not constant, so the scan
+    # raises and the certificate has no conjugate report
+    result = run_script(["certify_grid.py", "--radii", "0.999999", "--drifts", "0.0", "--probes", "2"])
+    assert result.returncode == 1, result.stderr
+    assert "FAIL" in result.stdout
+    assert "minD=n/a" in result.stdout
+    assert "Traceback" not in result.stderr
 
 
 def test_readme_quickstart_runs():

@@ -30,7 +30,7 @@ from randers_disc import (
 )
 from randers_disc import fd, variational
 from randers_disc.curves import TWO_PI
-from randers_disc.variational import lagrangian
+from randers_disc.variational import determinant_curve, lagrangian, second_variation_matrix
 
 # frozen chart/scan oracles at a=1/2, b=3/10, Busemann-Hausdorff
 FROZEN = {
@@ -332,16 +332,18 @@ def test_conjugate_scan_no_crossing(circle_half, system_half):
     assert not rep.zero_crossing
     assert rep.min_abs_D > 0.0
     assert rep.step_halving <= 1e-8
-    assert len(rep.c_values) == 512
-    assert rep.c_values[-1] == pytest.approx(TWO_PI, rel=1e-15)
+    cs, _ = determinant_curve(rep.coeffs, 512, 4096)
+    assert len(cs) == 512
+    assert cs[-1] == pytest.approx(TWO_PI, rel=1e-15)
 
 
 def test_conjugate_scan_frozen_determinants(circle_half, system_half):
     rep = conjugate_scan(circle_half, *system_half)
+    _, Ds = determinant_curve(rep.coeffs, 512, 4096)
 
     def at(c):
         idx = int(round(c / TWO_PI * 512)) - 1
-        return rep.D_values[idx]
+        return Ds[idx]
 
     assert at(math.pi / 2.0) == pytest.approx(FROZEN["D_half_pi"], rel=1e-6)
     assert at(math.pi) == pytest.approx(FROZEN["D_pi"], rel=1e-6)
@@ -352,12 +354,12 @@ def test_conjugate_scan_matches_analytic_law(circle_half, system_half):
     # constant coefficients give D(c) = (U^2/h1)(c sin c + 2 cos c - 2)
     J = jacobi_coeffs(circle_half, *system_half)
     rep = conjugate_scan(circle_half, *system_half)
-    cs = rep.c_values
+    cs, Ds = determinant_curve(rep.coeffs, 512, 4096)
     law = (J.U**2 / J.h1) * (cs * np.sin(cs) + 2.0 * np.cos(cs) - 2.0)
     scale = np.max(np.abs(law))
-    assert np.max(np.abs(rep.D_values - law)) <= 1e-6 * scale
+    assert np.max(np.abs(Ds - law)) <= 1e-6 * scale
     # the rotation-neutral Jacobi field closes up exactly at one period
-    assert abs(rep.D_values[-1]) <= 1e-6 * scale
+    assert abs(Ds[-1]) <= 1e-6 * scale
 
 
 @pytest.mark.parametrize("scan_points, n_steps", [(500, 4096), (0, 4096), (1, 4096), (512, 0)])
@@ -427,14 +429,121 @@ def test_rim_jacobi_coeffs_finite_and_scan_checked(a, b):
 
 # -- second variation ---------------------------------------------------------
 
+def zero_probe(harmonics=6):
+    m = 2 * harmonics + 1
+    return VariationProbe((0.0,) * m, (0.0,) * m)
+
+
+def tangential_probe(circle, harmonics=6):
+    """y = sin(t/2) * gamma'(t): the excluded reparametrization direction."""
+    m = 2 * harmonics + 1
+    c1 = [0.0] * m
+    c2 = [0.0] * m
+    c1[1 + harmonics] = -circle.a  # sin t coefficient
+    c2[1] = circle.a               # cos t coefficient
+    return VariationProbe(tuple(c1), tuple(c2))
+
+
+def fields_by_loop(probe, ts):
+    """(y, ydot) summed harmonic by harmonic, as the fields were once computed."""
+    K = probe.harmonics
+    win = np.sin(0.5 * ts)
+    dwin = 0.5 * np.cos(0.5 * ts)
+    ys = []
+    yds = []
+    for ci in (probe.coeffs1, probe.coeffs2):
+        P = np.full(ts.shape, ci[0])
+        dP = np.zeros(ts.shape)
+        for k in range(1, K + 1):
+            ck, sk = ci[k], ci[K + k]
+            c_, s_ = np.cos(k * ts), np.sin(k * ts)
+            P += ck * c_ + sk * s_
+            dP += k * (sk * c_ - ck * s_)
+        ys.append(win * P)
+        yds.append(dwin * P + win * dP)
+    return np.column_stack(ys), np.column_stack(yds)
+
+
+def two_omega_quadrature(H, probe, n):
+    """J'' as the explicit trapezoid sum of 2*omega over the closed n-panel grid."""
+    ts = np.linspace(0.0, TWO_PI, n + 1)
+    w = np.full(n + 1, TWO_PI / n)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    y, yd = fields_by_loop(probe, ts)
+    y1, y2 = y[:, 0], y[:, 1]
+    d1, d2 = yd[:, 0], yd[:, 1]
+    two_omega = (
+        H[0, 0] * y1 * y1
+        + 2.0 * H[0, 1] * y1 * y2
+        + H[1, 1] * y2 * y2
+        + 2.0 * (H[0, 2] * y1 * d1 + H[0, 3] * y1 * d2 + H[1, 2] * y2 * d1 + H[1, 3] * y2 * d2)
+        + H[2, 2] * d1 * d1
+        + 2.0 * H[2, 3] * d1 * d2
+        + H[3, 3] * d2 * d2
+    )
+    return float(np.sum(w * two_omega))
+
+
 def test_second_variation_zero_probe(circle_half, system_half):
-    assert second_variation(circle_half, *system_half, VariationProbe.zero()) == 0.0
+    assert second_variation(circle_half, *system_half, zero_probe()) == 0.0
 
 
 def test_second_variation_tangential_probe_excluded(circle_half, system_half):
-    tang = VariationProbe.tangential(circle_half)
+    tang = tangential_probe(circle_half)
     assert abs(constraint_functional(circle_half, tang)) <= 1e-9
     assert abs(second_variation(circle_half, *system_half, tang)) <= 1e-5
+
+
+def test_probe_fields_match_the_harmonic_loop(rng):
+    ts = np.linspace(0.0, TWO_PI, 257)
+    for harmonics in (0, 1, 6):
+        probe = VariationProbe.random(rng, harmonics)
+        for got, want in zip(probe.fields(ts), fields_by_loop(probe, ts)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+def test_second_variation_matrix_matches_explicit_quadrature(a, rng):
+    cfg = RandersConfig(0.3)
+    circle, kap, lam = Circle(a), cfg.kappa, lambda_for_circle(a, cfg)
+    n = 1024
+    H = variational.hessian_blocks(a, kap, lam, np.linspace(0.0, TWO_PI, n + 1))
+    M = second_variation_matrix(H, n)
+    assert M.shape == (26, 26)
+    assert np.array_equal(M, M.T)
+    for _ in range(20):
+        probe = VariationProbe.random(rng)
+        v = probe.to_vector()
+        assert v @ M @ v == pytest.approx(two_omega_quadrature(H, probe, n), rel=1e-12)
+        projected = project_probe(circle, probe)
+        assert second_variation(circle, kap, lam, projected, blocks=H) == pytest.approx(
+            two_omega_quadrature(H, projected, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certificate_maximum_equals_per_probe_calls(cfg_bh, circle_half, system_half, seed):
+    nodes = np.linspace(0.0, TWO_PI, 1025)
+    blocks = variational.hessian_blocks(0.5, *system_half, nodes)
+    ell = variational.constraint_vector(circle_half)
+    rng = np.random.default_rng(seed)
+    values = [
+        second_variation(circle_half, *system_half, project_probe(circle_half, VariationProbe.random(rng), ell=ell),
+                         blocks=blocks)
+        for _ in range(50)
+    ]
+    cert = build_certificate(0.5, cfg_bh, probe_seed=seed)
+    assert cert.second_variation_max == pytest.approx(max(values), rel=1e-12)
+
+
+def test_certificate_fails_on_a_planted_positive_mode(cfg_bh, monkeypatch):
+    # identity blocks make J'' the L2 norm of (y, ydot), positive on every probe
+    monkeypatch.setattr(variational, "hessian_blocks", lambda a, kap, lam, ts: np.broadcast_to(
+        np.eye(4)[:, :, None], (4, 4, len(ts))))
+    cert = build_certificate(0.5, cfg_bh)
+    assert cert.second_variation_max > 0.0
+    assert not cert.passed
+    assert "condition failed: second_variation" in cert.notes
 
 
 def test_second_variation_negative_on_constrained_probes(circle_half, system_half, rng):
@@ -554,6 +663,22 @@ def test_certificate_samples_each_check_in_one_call(cfg_bh, monkeypatch):
     assert build_certificate(0.5, cfg_bh).passed
     # the Hessian form samples once for the check and once for h1
     assert calls == {"weierstrass_E": 1, "hessian_velocity_form": 2}
+
+
+def test_certificate_holds_no_arrays(cfg_bh):
+    def arrays_in(value, path):
+        if isinstance(value, np.ndarray):
+            yield path
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                yield from arrays_in(getattr(value, f.name), f"{path}.{f.name}")
+        elif isinstance(value, (tuple, list)):
+            for i, item in enumerate(value):
+                yield from arrays_in(item, f"{path}[{i}]")
+
+    cert = build_certificate(0.5, cfg_bh)
+    assert cert.conjugate is not None
+    assert list(arrays_in(cert, "cert")) == []
 
 
 def test_certificate_json_shape(cfg_bh):
