@@ -29,10 +29,8 @@ from .metric import (
 )
 from .variational import (
     ExtremalityCertificate,
-    VariationProbe,
     build_certificate,
     conjugate_scan,
-    constraint_functional,
     constraint_vector,
     el_residual,
     h1_along,
@@ -42,8 +40,6 @@ from .variational import (
     jacobi_coeffs,
     lambda_for_circle,
     normality,
-    project_probe,
-    second_variation,
     solve_lambda_numeric,
     weierstrass_E,
     weierstrass_closed,
@@ -59,7 +55,6 @@ __all__ = [
     "PolarFourierCurve",
     "QuadratureGrid",
     "RandersConfig",
-    "VariationProbe",
     "VerificationError",
     "VolumeForm",
     "alpha_norm",
@@ -71,7 +66,6 @@ __all__ = [
     "christoffel",
     "circle_closed_forms",
     "conjugate_scan",
-    "constraint_functional",
     "constraint_vector",
     "deficit_value",
     "disc_grid",
@@ -90,10 +84,8 @@ __all__ = [
     "match_length",
     "normality",
     "potential",
-    "project_probe",
     "require_admissible",
     "run_trials",
-    "second_variation",
     "sigma_alpha",
     "solve_lambda_numeric",
     "volume_density",

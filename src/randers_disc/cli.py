@@ -23,16 +23,7 @@ from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid, area, length
 from .isoperimetry import PerturbationSpec, deficit_value, run_trials
 from .metric import check_metric
-from .variational import (
-    CERT_TOL,
-    N_PROBES,
-    SCAN_POINTS,
-    SCAN_STEPS,
-    build_certificate,
-    conjugate_scan,
-    determinant_curve,
-    lambda_for_circle,
-)
+from .variational import CERT_TOL, build_certificate, conjugate_scan, determinant_curve, lambda_for_circle
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,9 +45,6 @@ class RunConfig:
     epsilon: float = PerturbationSpec.epsilon
     harmonics: int = PerturbationSpec.harmonics
     seed: int = PerturbationSpec.seed
-    probes: int = N_PROBES
-    scan_points: int = SCAN_POINTS
-    scan_steps: int = SCAN_STEPS
     a_min: float = 0.1
     a_max: float = 0.9
     a_count: int = 9
@@ -119,16 +107,7 @@ def _csv_text(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
 
 def cmd_certificate(cfg: RunConfig) -> int:
     rc = RandersConfig(cfg.b, cfg.form)
-    cert = build_certificate(
-        cfg.a,
-        rc,
-        tol=cfg.tol,
-        grid=QuadratureGrid(cfg.n),
-        n_probes=cfg.probes,
-        probe_seed=cfg.seed,
-        scan_points=cfg.scan_points,
-        scan_steps=cfg.scan_steps,
-    )
+    cert = build_certificate(cfg.a, rc, tol=cfg.tol, probe_seed=cfg.seed)
     doc = {"config": cfg.echo(), **cert.to_json_dict()}
     _emit(cfg, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if cert.passed else 1
@@ -152,8 +131,8 @@ def cmd_perturb(cfg: RunConfig) -> int:
 def cmd_conjugate(cfg: RunConfig) -> int:
     rc = RandersConfig(cfg.b, cfg.form)
     lam = lambda_for_circle(cfg.a, rc)
-    report = conjugate_scan(Circle(cfg.a), rc.kappa, lam, scan_points=cfg.scan_points, n_steps=cfg.scan_steps)
-    cs, Ds = determinant_curve(report.coeffs, cfg.scan_points, cfg.scan_steps)
+    report = conjugate_scan(Circle(cfg.a), rc.kappa, lam)
+    cs, Ds = determinant_curve(report.coeffs)
     doc = {
         "config": cfg.echo(),
         "lambda": lam,
@@ -235,10 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("certificate", help="run all sufficiency checks for one circle")
-    _add_common(sp, circle=True, reads=("n", "tol", "seed"))
-    sp.add_argument("--probes", type=int, help="random second-variation probes")
-    sp.add_argument("--scan-points", type=int, help="conjugate scan sample count")
-    sp.add_argument("--scan-steps", type=int, help="conjugate scan ODE steps")
+    _add_common(sp, circle=True, reads=("tol", "seed"))
 
     sp = sub.add_parser("perturb", help="length-matched perturbation trials")
     _add_common(sp, circle=True, reads=("n", "seed"))
@@ -248,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conjugate", help="Jacobi determinant scan over one period")
     _add_common(sp, circle=True, reads=())
-    sp.add_argument("--scan-points", type=int, help="conjugate scan sample count")
-    sp.add_argument("--scan-steps", type=int, help="conjugate scan ODE steps")
 
     sp = sub.add_parser("check-metric", help="drift norm, potential gradient, flag-curvature residual")
     _add_common(sp, circle=False, reads=())

@@ -37,13 +37,16 @@ _RATE_STEP = 1e-2             # Jacobi step in t for d/dt K
 _ZERO_REL_TOL = 1e-10         # |D| below this fraction of max |D| counts as a zero
 _MIN_GAP = 0.05               # the |D| floor skips c within this of 0 and 2*pi
 _CONSISTENCY_TOL = 1e-8       # allowed relative change of D under step halving
-_BLOCK_STEP_X = 1e-5          # position step of hessian_blocks
+_BLOCK_STEP_X = 1e-5          # position step of hessian_blocks, before the rim cap
 _BLOCK_REL_STEP_V = 1e-4      # velocity step of hessian_blocks, relative to a
 _T_SAMPLES = 64               # certificate samples of t for the EL and normality checks
 
-# defaults of build_certificate and conjugate_scan, which the CLI reads too
-CERT_TOL = 1e-6               # EL residual ceiling and normality floor
+CERT_TOL = 1e-6               # default EL residual ceiling and normality floor, read by the CLI
+
+# the certificate's fixed sizes
 N_PROBES = 50                 # random second-variation probes
+PROBE_HARMONICS = 6           # harmonics per component of the probe basis
+VARIATION_PANELS = 1024       # trapezoid panels of the second variation (1025 nodes)
 SCAN_POINTS = 512             # conjugate scan samples of c
 SCAN_STEPS = 4096             # conjugate scan RK4 steps over one period
 
@@ -302,28 +305,19 @@ def _rk4_determinants(h1: float, h2: float, U: float, n_steps: int, stride: int)
     return out
 
 
-def determinant_curve(coeffs: JacobiCoefficients, scan_points: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c, D(c)) at the scan_points c = 2*pi*i/scan_points, i = 1..scan_points, by n_steps RK4 steps."""
-    cs = TWO_PI * np.arange(1, scan_points + 1) / scan_points
-    return cs, _rk4_determinants(coeffs.h1, coeffs.h2, coeffs.U, n_steps, n_steps // scan_points)
+def determinant_curve(coeffs: JacobiCoefficients, n_steps: int = SCAN_STEPS) -> tuple[np.ndarray, np.ndarray]:
+    """(c, D(c)) at the SCAN_POINTS c = 2*pi*i/SCAN_POINTS, i = 1..SCAN_POINTS, by n_steps RK4 steps."""
+    cs = TWO_PI * np.arange(1, SCAN_POINTS + 1) / SCAN_POINTS
+    return cs, _rk4_determinants(coeffs.h1, coeffs.h2, coeffs.U, n_steps, n_steps // SCAN_POINTS)
 
 
-def conjugate_scan(
-    circle: Circle,
-    kap: float,
-    lam: float,
-    scan_points: int = SCAN_POINTS,
-    n_steps: int = SCAN_STEPS,
-) -> ConjugateScanReport:
+def conjugate_scan(circle: Circle, kap: float, lam: float) -> ConjugateScanReport:
     """Scan D(0, c) for c in (0, 2*pi] and flag interior zeros or sign changes.
 
     D vanishes exactly at c = 2*pi (the rotation-neutral Jacobi field), and to
     fourth order at the scan start, so the |D| floor is only applied _MIN_GAP
     away from both ends; sign changes are checked on all interior pairs.
-    A single scan point is c = 2*pi itself, so at least two are required.
     """
-    if not (2 <= scan_points <= n_steps and n_steps % scan_points == 0):
-        raise DomainError(f"need 2 <= scan_points <= n_steps, dividing it; got {scan_points} and {n_steps}")
     coeffs = jacobi_coeffs(circle, kap, lam, 0.0)
     check = jacobi_coeffs(circle, kap, lam, math.pi)
     for name in ("h1", "h2", "U"):
@@ -334,8 +328,8 @@ def conjugate_scan(
         if not abs(getattr(check, name) - value) <= 1e-4 * abs(value):
             raise VerificationError(f"Jacobi coefficient {name} is not constant along the circle")
 
-    cs, Ds = determinant_curve(coeffs, scan_points, n_steps)
-    _, Ds_half = determinant_curve(coeffs, scan_points, 2 * n_steps)
+    cs, Ds = determinant_curve(coeffs)
+    _, Ds_half = determinant_curve(coeffs, 2 * SCAN_STEPS)
     if not (np.all(np.isfinite(Ds)) and np.all(np.isfinite(Ds_half))):
         raise VerificationError("conjugate scan produced non-finite determinants")
     scale = float(np.max(np.abs(Ds)))
@@ -366,57 +360,14 @@ def conjugate_scan(
 #    component 2.  J'' is the quadratic form v . M v, and the linearized length
 #    constraint the linear form ell . v; M and ell are assembled once per circle.
 
-_PROBE_HARMONICS = 6
-
-
-def _window_basis(ts: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin(t/2) * [1, cos kt (k=1..K), sin kt (k=1..K)] and its t-derivative, each (2K+1, len(ts))."""
-    k = np.arange(1, K + 1)[:, None]
+def _window_basis(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin(t/2) * [1, cos kt, sin kt (k=1..PROBE_HARMONICS)] and its t-derivative, each (13, len(ts))."""
+    k = np.arange(1, PROBE_HARMONICS + 1)[:, None]
     cos, sin = np.cos(k * ts), np.sin(k * ts)
     P = np.concatenate([np.ones((1, ts.size)), cos, sin])
     dP = np.concatenate([np.zeros((1, ts.size)), -k * sin, k * cos])
     win, dwin = np.sin(0.5 * ts), 0.5 * np.cos(0.5 * ts)
     return win * P, dwin * P + win * dP
-
-
-@dataclasses.dataclass(frozen=True)
-class VariationProbe:
-    """Variation field y(t) = sin(t/2) * (trig polynomial), per component.
-
-    Coefficient layout per component: [const, cos 1..K, sin 1..K]; the window
-    enforces vanishing at t = 0 and t = 2*pi.
-    """
-
-    coeffs1: tuple[float, ...]
-    coeffs2: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs1", tuple(float(c) for c in self.coeffs1))
-        object.__setattr__(self, "coeffs2", tuple(float(c) for c in self.coeffs2))
-        if len(self.coeffs1) != len(self.coeffs2) or len(self.coeffs1) % 2 != 1:
-            raise DomainError("probe components need equal odd coefficient counts")
-
-    @property
-    def harmonics(self) -> int:
-        return (len(self.coeffs1) - 1) // 2
-
-    @classmethod
-    def random(cls, rng: np.random.Generator, harmonics: int = _PROBE_HARMONICS) -> "VariationProbe":
-        return cls.from_vector(rng.standard_normal(2 * (2 * harmonics + 1)))
-
-    def to_vector(self) -> np.ndarray:
-        return np.array(self.coeffs1 + self.coeffs2)
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "VariationProbe":
-        m = len(vec) // 2
-        return cls(tuple(vec[:m]), tuple(vec[m:]))
-
-    def fields(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(y, ydot) arrays of shape (len(ts), 2)."""
-        B, dB = _window_basis(ts, self.harmonics)
-        coeffs = np.array([self.coeffs1, self.coeffs2])
-        return (coeffs @ B).T, (coeffs @ dB).T
 
 
 def _variation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -428,17 +379,12 @@ def _variation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ts, w
 
 
-def constraint_vector(circle: Circle, harmonics: int = _PROBE_HARMONICS, n: int = 1024) -> np.ndarray:
-    """ell on each coefficient basis element: integral of g_x . y + g_v . ydot (length 2*(2K+1))."""
-    ts, w = _variation_nodes(n)
+def constraint_vector(circle: Circle) -> np.ndarray:
+    """ell on each coefficient basis element: integral of g_x . y + g_v . ydot (length 26)."""
+    ts, w = _variation_nodes(VARIATION_PANELS)
     gx, gv = _g_gradients(*circle.batch(ts))
-    B, dB = _window_basis(ts, harmonics)
+    B, dB = _window_basis(ts)
     return np.concatenate([B @ (w * gx[:, c]) + dB @ (w * gv[:, c]) for c in range(2)])
-
-
-def constraint_functional(circle: Circle, probe: VariationProbe, n: int = 1024) -> float:
-    """Linearized length constraint ell(y) = integral of g_x . y + g_v . ydot."""
-    return float(constraint_vector(circle, probe.harmonics, n) @ probe.to_vector())
 
 
 def _onto_kernel(vecs: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -447,18 +393,6 @@ def _onto_kernel(vecs: np.ndarray, ell: np.ndarray) -> np.ndarray:
     if norm2 <= 0.0:
         raise VerificationError("constraint functional vanishes on the whole probe basis")
     return vecs - np.multiply.outer(vecs @ ell / norm2, ell)
-
-
-def project_probe(
-    circle: Circle,
-    probe: VariationProbe,
-    n: int = 1024,
-    ell: np.ndarray | None = None,
-) -> VariationProbe:
-    """Orthogonal projection of the coefficients onto ker(ell)."""
-    if ell is None:
-        ell = constraint_vector(circle, probe.harmonics, n)
-    return VariationProbe.from_vector(_onto_kernel(probe.to_vector(), ell))
 
 
 def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarray:
@@ -470,7 +404,9 @@ def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarr
     points, velocities = Circle(a).batch(ts)
     args = np.concatenate([points.T, velocities.T])
     hv = _BLOCK_REL_STEP_V * a
-    steps = [_BLOCK_STEP_X, _BLOCK_STEP_X, hv, hv]
+    # capped at a quarter of the rim distance, as in jacobi_coeffs, so no stencil leaves the disc
+    hx = min(_BLOCK_STEP_X, 0.25 * (1.0 - a))
+    steps = [hx, hx, hv, hv]
     unit = np.eye(4)
 
     def h_moved(shift: np.ndarray) -> np.ndarray:
@@ -486,15 +422,15 @@ def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarr
     return H
 
 
-def second_variation_matrix(blocks: np.ndarray, n: int, harmonics: int = _PROBE_HARMONICS) -> np.ndarray:
+def second_variation_matrix(blocks: np.ndarray) -> np.ndarray:
     """Symmetric M with J''(v) = v . M v, from the (4, 4, n+1) blocks on the n-panel nodes.
 
     Component c of a basis field fills position slot c with the window basis
     and velocity slot 2 + c with its derivative, so the (c, d) block of M is
     the trapezoid sum of F_i (w H_ij) F_j over i in {c, 2+c}, j in {d, 2+d}.
     """
-    ts, w = _variation_nodes(n)
-    B, dB = _window_basis(ts, harmonics)
+    ts, w = _variation_nodes(blocks.shape[-1] - 1)
+    B, dB = _window_basis(ts)
     F = (B, B, dB, dB)
     m = len(B)
     M = np.empty((2 * m, 2 * m))
@@ -509,26 +445,6 @@ def second_variation_matrix(blocks: np.ndarray, n: int, harmonics: int = _PROBE_
 def _quadratic_forms(vecs: np.ndarray, M: np.ndarray) -> np.ndarray:
     """v . M v for a coefficient vector, or for each row of an array."""
     return np.sum((vecs @ M) * vecs, axis=-1)
-
-
-def second_variation(
-    circle: Circle,
-    kap: float,
-    lam: float,
-    probe: VariationProbe,
-    n: int = 1024,
-    blocks: np.ndarray | None = None,
-) -> float:
-    """J'' = integral of the quadratic form 2*omega(t, y, ydot), as v . M v.
-
-    The probe is used as given; project_probe enforces the linearized length
-    constraint, and tangential probes (y parallel to gamma') sit in the
-    excluded reparametrization direction where J'' = 0.
-    """
-    if blocks is None:
-        blocks = hessian_blocks(circle.a, kap, lam, _variation_nodes(n)[0])
-    M = second_variation_matrix(blocks, n, probe.harmonics)
-    return float(_quadratic_forms(probe.to_vector(), M))
 
 
 # -- the certificate --------------------------------------------------------------
@@ -590,11 +506,7 @@ def build_certificate(
     a: float,
     cfg: RandersConfig,
     tol: float = CERT_TOL,
-    grid: QuadratureGrid = QuadratureGrid(),
-    n_probes: int = N_PROBES,
     probe_seed: int = 42,
-    scan_points: int = SCAN_POINTS,
-    scan_steps: int = SCAN_STEPS,
     lambda_override: float | None = None,
 ) -> ExtremalityCertificate:
     """Run all five sufficiency checks for the circle of radius a.
@@ -602,14 +514,12 @@ def build_certificate(
     A check whose numerics fail (a VerificationError) is recorded as failed,
     with a note and a NaN field; any other exception propagates.
     """
-    if n_probes < 1:
-        raise DomainError(f"need n_probes >= 1, got {n_probes}")
     if probe_seed < 0:
         raise DomainError(f"probe seed must be nonnegative, got {probe_seed}")
     circle = Circle(a)
     kap = cfg.kappa
     lam = lambda_for_circle(a, cfg) if lambda_override is None else float(lambda_override)
-    notes = ["second variation probed on a finite trigonometric basis (harmonics <= 6)"]
+    notes = [f"second variation probed on a finite trigonometric basis (harmonics <= {PROBE_HARMONICS})"]
     if lambda_override is not None:
         notes.append(f"lambda overridden to {lam}")
     ts = np.linspace(0.0, TWO_PI, _T_SAMPLES, endpoint=False)
@@ -630,10 +540,9 @@ def build_certificate(
         return value
 
     def probe_max() -> float:
-        # row i is the i-th VariationProbe.random draw of one generator
-        M = second_variation_matrix(hessian_blocks(a, kap, lam, _variation_nodes(grid.n)[0]), grid.n)
-        ell = constraint_vector(circle, n=grid.n)
-        probes = np.random.default_rng(probe_seed).standard_normal((n_probes, ell.size))
+        M = second_variation_matrix(hessian_blocks(a, kap, lam, _variation_nodes(VARIATION_PANELS)[0]))
+        ell = constraint_vector(circle)
+        probes = np.random.default_rng(probe_seed).standard_normal((N_PROBES, ell.size))
         return float(np.max(_quadratic_forms(_onto_kernel(probes, ell), M)))
 
     # np.max/np.min propagate a NaN sample, so it fails its comparison below
@@ -646,7 +555,7 @@ def build_certificate(
     hess_max = guarded("hessian_form", lambda: float(np.max(hessian_velocity_form(
         circle, kap, lam, sample_ts[:, None], _direction_samples(velocities, magnitudes=(1.0,))
     ))))
-    conj = guarded("conjugate scan", lambda: conjugate_scan(circle, kap, lam, scan_points, scan_steps), None)
+    conj = guarded("conjugate scan", lambda: conjugate_scan(circle, kap, lam), None)
     sv_max = guarded("second variation", probe_max)
 
     ok = {

@@ -20,7 +20,6 @@ from randers_disc import (
     build_certificate,
     circle_closed_forms,
     cli,
-    conjugate_scan,
     errors,
 )
 from randers_disc.cli import main
@@ -92,10 +91,13 @@ CIRCLE = ["--a", "0.5", "--b", "0.3", "--form", "bh"]
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certificate", *CIRCLE, "--probes", "0"],
-        ["certificate", *CIRCLE, "--scan-points", "500"],
-        ["certificate", *CIRCLE, "--scan-steps", "0"],
-        ["conjugate", *CIRCLE, "--scan-points", "0"],
+        # the certificate and the scan run at fixed sizes, so their size flags are gone
+        ["certificate", *CIRCLE, "--probes", "50"],
+        ["certificate", *CIRCLE, "--scan-points", "512"],
+        ["certificate", *CIRCLE, "--scan-steps", "4096"],
+        ["conjugate", *CIRCLE, "--scan-points", "512"],
+        ["conjugate", *CIRCLE, "--scan-steps", "4096"],
+        ["certificate", *CIRCLE, "--n", "1024"],
         ["certificate", *CIRCLE, "--seed", "-1"],
         ["perturb", *CIRCLE, "--seed", "-1"],
         # flags a subcommand would not read are not accepted
@@ -113,10 +115,12 @@ CIRCLE = ["--a", "0.5", "--b", "0.3", "--form", "bh"]
         ["deficit-sweep", "--b", "0.3", "--tol", "-1"],
     ],
     ids=[
-        "probes-0",
-        "scan-points-500",
-        "scan-steps-0",
-        "conjugate-scan-points-0",
+        "certificate-probes-removed",
+        "certificate-scan-points-removed",
+        "certificate-scan-steps-removed",
+        "conjugate-scan-points-removed",
+        "conjugate-scan-steps-removed",
+        "certificate-n-removed",
         "certificate-seed--1",
         "perturb-seed--1",
         "conjugate-tol",
@@ -174,15 +178,11 @@ def test_missing_output_directory_is_usage_error(capsys, monkeypatch, tmp_path):
 def test_run_config_defaults_are_the_library_defaults():
     cfg = cli.RunConfig("certificate")
     cert = inspect.signature(build_certificate).parameters
-    scan = inspect.signature(conjugate_scan).parameters
     spec = PerturbationSpec()
-    assert cfg.n == QuadratureGrid().n == cert["grid"].default.n
+    assert cfg.n == QuadratureGrid().n
     assert cfg.tol == cert["tol"].default
     assert (cfg.trials, cfg.epsilon, cfg.harmonics) == (spec.count, spec.epsilon, spec.harmonics)
     assert cfg.seed == spec.seed == cert["probe_seed"].default
-    assert cfg.probes == cert["n_probes"].default
-    assert cfg.scan_points == cert["scan_points"].default == scan["scan_points"].default
-    assert cfg.scan_steps == cert["scan_steps"].default == scan["n_steps"].default
 
 
 ERROR_CLASSES = [
@@ -358,8 +358,7 @@ def test_check_metric_riemannian_skips_curvature_check(tmp_path):
 
 def test_conjugate_schema(tmp_path):
     rc, out = run(
-        ["conjugate", "--a", "0.5", "--b", "0.3", "--form", "bh",
-         "--scan-points", "256"],
+        ["conjugate", "--a", "0.5", "--b", "0.3", "--form", "bh"],
         tmp_path,
         "c.json",
     )
@@ -367,8 +366,8 @@ def test_conjugate_schema(tmp_path):
     doc = json.loads(out.read_text())
     validate(doc, "conjugate.schema.json")
     assert doc["zero_crossing"] is False
-    assert len(doc["c_values"]) == 256
-    assert len(doc["D_values"]) == 256
+    assert len(doc["c_values"]) == 512
+    assert len(doc["D_values"]) == 512
 
 
 def test_conjugate_near_rim_writes_finite_json(tmp_path):

@@ -22,7 +22,7 @@ def run_script(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certify_grid.py", "--radii", "0.5", "--drifts", "0.3", "--probes", "2"],
+        ["certify_grid.py", "--radii", "0.5", "--drifts", "0.3"],
         ["epsilon_scaling.py", "--levels", "2", "--trials", "3"],
     ],
     ids=["certify_grid", "epsilon_scaling"],
@@ -35,7 +35,7 @@ def test_script_runs(argv):
 def test_certify_grid_reports_a_failed_scan():
     # at a = 0.999999 the Jacobi coefficients are not constant, so the scan
     # raises and the certificate has no conjugate report
-    result = run_script(["certify_grid.py", "--radii", "0.999999", "--drifts", "0.0", "--probes", "2"])
+    result = run_script(["certify_grid.py", "--radii", "0.999999", "--drifts", "0.0"])
     assert result.returncode == 1, result.stderr
     assert "FAIL" in result.stdout
     assert "minD=n/a" in result.stdout

@@ -9,12 +9,11 @@ from randers_disc import (
     DomainError,
     PolarFourierCurve,
     RandersConfig,
-    VariationProbe,
     VerificationError,
     VolumeForm,
     build_certificate,
     conjugate_scan,
-    constraint_functional,
+    constraint_vector,
     el_residual,
     h1_along,
     hessian_velocity_closed,
@@ -22,8 +21,6 @@ from randers_disc import (
     jacobi_coeffs,
     lambda_for_circle,
     normality,
-    project_probe,
-    second_variation,
     solve_lambda_numeric,
     weierstrass_E,
     weierstrass_closed,
@@ -332,14 +329,14 @@ def test_conjugate_scan_no_crossing(circle_half, system_half):
     assert not rep.zero_crossing
     assert rep.min_abs_D > 0.0
     assert rep.step_halving <= 1e-8
-    cs, _ = determinant_curve(rep.coeffs, 512, 4096)
+    cs, _ = determinant_curve(rep.coeffs)
     assert len(cs) == 512
     assert cs[-1] == pytest.approx(TWO_PI, rel=1e-15)
 
 
 def test_conjugate_scan_frozen_determinants(circle_half, system_half):
     rep = conjugate_scan(circle_half, *system_half)
-    _, Ds = determinant_curve(rep.coeffs, 512, 4096)
+    _, Ds = determinant_curve(rep.coeffs)
 
     def at(c):
         idx = int(round(c / TWO_PI * 512)) - 1
@@ -354,18 +351,12 @@ def test_conjugate_scan_matches_analytic_law(circle_half, system_half):
     # constant coefficients give D(c) = (U^2/h1)(c sin c + 2 cos c - 2)
     J = jacobi_coeffs(circle_half, *system_half)
     rep = conjugate_scan(circle_half, *system_half)
-    cs, Ds = determinant_curve(rep.coeffs, 512, 4096)
+    cs, Ds = determinant_curve(rep.coeffs)
     law = (J.U**2 / J.h1) * (cs * np.sin(cs) + 2.0 * np.cos(cs) - 2.0)
     scale = np.max(np.abs(law))
     assert np.max(np.abs(Ds - law)) <= 1e-6 * scale
     # the rotation-neutral Jacobi field closes up exactly at one period
     assert abs(Ds[-1]) <= 1e-6 * scale
-
-
-@pytest.mark.parametrize("scan_points, n_steps", [(500, 4096), (0, 4096), (1, 4096), (512, 0)])
-def test_conjugate_scan_point_validation(circle_half, system_half, scan_points, n_steps):
-    with pytest.raises(DomainError):
-        conjugate_scan(circle_half, *system_half, scan_points=scan_points, n_steps=n_steps)
 
 
 def test_rk4_detects_true_crossings():
@@ -428,30 +419,29 @@ def test_rim_jacobi_coeffs_finite_and_scan_checked(a, b):
 
 
 # -- second variation ---------------------------------------------------------
+#    A probe is a (26,) coefficient vector: component 1, then component 2, each
+#    [const, cos 1..6, sin 1..6] under the window sin(t/2).
 
-def zero_probe(harmonics=6):
-    m = 2 * harmonics + 1
-    return VariationProbe((0.0,) * m, (0.0,) * m)
+HARMONICS = 6
+N_COEFFS = 2 * (2 * HARMONICS + 1)
 
 
-def tangential_probe(circle, harmonics=6):
+def tangential_probe(circle):
     """y = sin(t/2) * gamma'(t): the excluded reparametrization direction."""
-    m = 2 * harmonics + 1
-    c1 = [0.0] * m
-    c2 = [0.0] * m
-    c1[1 + harmonics] = -circle.a  # sin t coefficient
-    c2[1] = circle.a               # cos t coefficient
-    return VariationProbe(tuple(c1), tuple(c2))
+    v = np.zeros(N_COEFFS)
+    v[1 + HARMONICS] = -circle.a                # component 1, sin t coefficient
+    v[2 * HARMONICS + 1 + 1] = circle.a         # component 2, cos t coefficient
+    return v
 
 
-def fields_by_loop(probe, ts):
+def fields_by_loop(v, ts):
     """(y, ydot) summed harmonic by harmonic, as the fields were once computed."""
-    K = probe.harmonics
+    K = HARMONICS
     win = np.sin(0.5 * ts)
     dwin = 0.5 * np.cos(0.5 * ts)
     ys = []
     yds = []
-    for ci in (probe.coeffs1, probe.coeffs2):
+    for ci in np.reshape(v, (2, 2 * K + 1)):
         P = np.full(ts.shape, ci[0])
         dP = np.zeros(ts.shape)
         for k in range(1, K + 1):
@@ -464,13 +454,13 @@ def fields_by_loop(probe, ts):
     return np.column_stack(ys), np.column_stack(yds)
 
 
-def two_omega_quadrature(H, probe, n):
+def two_omega_quadrature(H, v, n):
     """J'' as the explicit trapezoid sum of 2*omega over the closed n-panel grid."""
     ts = np.linspace(0.0, TWO_PI, n + 1)
     w = np.full(n + 1, TWO_PI / n)
     w[0] *= 0.5
     w[-1] *= 0.5
-    y, yd = fields_by_loop(probe, ts)
+    y, yd = fields_by_loop(v, ts)
     y1, y2 = y[:, 0], y[:, 1]
     d1, d2 = yd[:, 0], yd[:, 1]
     two_omega = (
@@ -485,53 +475,55 @@ def two_omega_quadrature(H, probe, n):
     return float(np.sum(w * two_omega))
 
 
-def test_second_variation_zero_probe(circle_half, system_half):
-    assert second_variation(circle_half, *system_half, zero_probe()) == 0.0
+def variation_system(a=0.5, b=0.3, n=1024):
+    """(blocks, M, ell) of the circle of radius a, as the certificate assembles them."""
+    cfg = RandersConfig(b)
+    blocks = variational.hessian_blocks(a, cfg.kappa, lambda_for_circle(a, cfg), np.linspace(0.0, TWO_PI, n + 1))
+    return blocks, second_variation_matrix(blocks), constraint_vector(Circle(a))
 
 
-def test_second_variation_tangential_probe_excluded(circle_half, system_half):
+def test_second_variation_zero_probe():
+    _, M, _ = variation_system()
+    assert variational._quadratic_forms(np.zeros(N_COEFFS), M) == 0.0
+
+
+def test_second_variation_tangential_probe_excluded(circle_half):
+    _, M, ell = variation_system()
     tang = tangential_probe(circle_half)
-    assert abs(constraint_functional(circle_half, tang)) <= 1e-9
-    assert abs(second_variation(circle_half, *system_half, tang)) <= 1e-5
+    assert abs(ell @ tang) <= 1e-9
+    assert abs(variational._quadratic_forms(tang, M)) <= 1e-5
 
 
-def test_probe_fields_match_the_harmonic_loop(rng):
+def test_window_basis_matches_the_harmonic_loop(rng):
     ts = np.linspace(0.0, TWO_PI, 257)
-    for harmonics in (0, 1, 6):
-        probe = VariationProbe.random(rng, harmonics)
-        for got, want in zip(probe.fields(ts), fields_by_loop(probe, ts)):
+    B, dB = variational._window_basis(ts)
+    for _ in range(5):
+        v = rng.standard_normal(N_COEFFS)
+        coeffs = v.reshape(2, -1)
+        for got, want in zip(((coeffs @ B).T, (coeffs @ dB).T), fields_by_loop(v, ts)):
             assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 def test_second_variation_matrix_matches_explicit_quadrature(a, rng):
-    cfg = RandersConfig(0.3)
-    circle, kap, lam = Circle(a), cfg.kappa, lambda_for_circle(a, cfg)
     n = 1024
-    H = variational.hessian_blocks(a, kap, lam, np.linspace(0.0, TWO_PI, n + 1))
-    M = second_variation_matrix(H, n)
-    assert M.shape == (26, 26)
+    H, M, ell = variation_system(a, 0.3, n)
+    assert M.shape == (N_COEFFS, N_COEFFS)
     assert np.array_equal(M, M.T)
     for _ in range(20):
-        probe = VariationProbe.random(rng)
-        v = probe.to_vector()
-        assert v @ M @ v == pytest.approx(two_omega_quadrature(H, probe, n), rel=1e-12)
-        projected = project_probe(circle, probe)
-        assert second_variation(circle, kap, lam, projected, blocks=H) == pytest.approx(
+        v = rng.standard_normal(N_COEFFS)
+        assert v @ M @ v == pytest.approx(two_omega_quadrature(H, v, n), rel=1e-12)
+        projected = variational._onto_kernel(v, ell)
+        assert variational._quadratic_forms(projected, M) == pytest.approx(
             two_omega_quadrature(H, projected, n), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_certificate_maximum_equals_per_probe_calls(cfg_bh, circle_half, system_half, seed):
-    nodes = np.linspace(0.0, TWO_PI, 1025)
-    blocks = variational.hessian_blocks(0.5, *system_half, nodes)
-    ell = variational.constraint_vector(circle_half)
-    rng = np.random.default_rng(seed)
-    values = [
-        second_variation(circle_half, *system_half, project_probe(circle_half, VariationProbe.random(rng), ell=ell),
-                         blocks=blocks)
-        for _ in range(50)
-    ]
+def test_certificate_maximum_equals_per_probe_calls(cfg_bh, seed):
+    # the certificate draws its probes as the rows of one standard-normal array
+    blocks, _, ell = variation_system()
+    rows = np.random.default_rng(seed).standard_normal((variational.N_PROBES, N_COEFFS))
+    values = [two_omega_quadrature(blocks, v, 1024) for v in variational._onto_kernel(rows, ell)]
     cert = build_certificate(0.5, cfg_bh, probe_seed=seed)
     assert cert.second_variation_max == pytest.approx(max(values), rel=1e-12)
 
@@ -546,48 +538,50 @@ def test_certificate_fails_on_a_planted_positive_mode(cfg_bh, monkeypatch):
     assert "condition failed: second_variation" in cert.notes
 
 
-def test_second_variation_negative_on_constrained_probes(circle_half, system_half, rng):
+def test_second_variation_negative_on_constrained_probes(rng):
+    _, M, ell = variation_system()
     for _ in range(10):
-        probe = project_probe(circle_half, VariationProbe.random(rng))
-        assert abs(constraint_functional(circle_half, probe)) <= 1e-9
-        assert second_variation(circle_half, *system_half, probe) < 0.0
+        probe = variational._onto_kernel(rng.standard_normal(N_COEFFS), ell)
+        assert abs(ell @ probe) <= 1e-9
+        assert variational._quadratic_forms(probe, M) < 0.0
 
 
 def test_projection_removes_constraint_component(circle_half, rng):
-    raw = VariationProbe.random(rng)
-    proj = project_probe(circle_half, raw)
-    assert abs(constraint_functional(circle_half, proj)) <= 1e-9
-    again = project_probe(circle_half, proj)
-    assert np.allclose(again.to_vector(), proj.to_vector(), atol=1e-12)
+    ell = constraint_vector(circle_half)
+    proj = variational._onto_kernel(rng.standard_normal(N_COEFFS), ell)
+    assert abs(ell @ proj) <= 1e-9
+    again = variational._onto_kernel(proj, ell)
+    assert np.allclose(again, proj, atol=1e-12)
 
 
-def test_projection_degenerate_direction(circle_half, rng):
+def test_projection_degenerate_direction(rng):
     with pytest.raises(VerificationError, match="constraint functional vanishes"):
-        project_probe(circle_half, VariationProbe.random(rng), ell=np.zeros(26))
+        variational._onto_kernel(rng.standard_normal(N_COEFFS), np.zeros(N_COEFFS))
 
 
-def test_probe_validation_and_round_trip(rng):
-    with pytest.raises(DomainError):
-        VariationProbe((1.0, 0.0), (0.0,))
-    with pytest.raises(DomainError):
-        VariationProbe((1.0, 0.0), (0.0, 1.0))
-    p = VariationProbe.random(rng)
-    assert VariationProbe.from_vector(p.to_vector()).coeffs1 == p.coeffs1
-    y, yd = p.fields(np.linspace(0.0, TWO_PI, 9))
-    assert y.shape == (9, 2) and yd.shape == (9, 2)
-    assert y[0] == pytest.approx((0.0, 0.0), abs=1e-15)  # window pins endpoints
-    assert y[-1] == pytest.approx((0.0, 0.0), abs=1e-12)
+def test_window_pins_the_endpoints():
+    B, dB = variational._window_basis(np.linspace(0.0, TWO_PI, 9))
+    assert B.shape == dB.shape == (2 * HARMONICS + 1, 9)
+    assert np.all(B[:, 0] == 0.0)
+    assert np.allclose(B[:, -1], 0.0, atol=1e-12)
 
 
-def test_probe_window_derivative_consistency(rng):
-    p = VariationProbe.random(rng)
+def test_window_derivative_consistency():
     ts = np.array([0.9])
-    _, yd = p.fields(ts)
+    _, dB = variational._window_basis(ts)
     h = 1e-6
-    y_up, _ = p.fields(ts + h)
-    y_dn, _ = p.fields(ts - h)
-    num = (y_up - y_dn) / (2.0 * h)
-    assert np.allclose(num, yd, atol=1e-8)
+    num = (variational._window_basis(ts + h)[0] - variational._window_basis(ts - h)[0]) / (2.0 * h)
+    assert np.allclose(num, dB, atol=1e-8)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3])
+def test_rim_hessian_blocks_finite_and_second_variation_negative(b):
+    # an uncapped 1e-5 position step reaches |x| = 1 at a = 0.99999
+    a = 0.99999
+    cfg = RandersConfig(b)
+    blocks = variational.hessian_blocks(a, cfg.kappa, lambda_for_circle(a, cfg), np.linspace(0.0, TWO_PI, 1025))
+    assert np.all(np.isfinite(blocks))
+    assert build_certificate(a, cfg).second_variation_max < 0.0
 
 
 # -- certificate --------------------------------------------------------------
@@ -610,12 +604,6 @@ def test_certificate_fails_with_overridden_multiplier(cfg_bh):
     assert cert.weierstrass_max > 0.0  # the excess is odd in lambda
     assert any("overridden" in n for n in cert.notes)
     assert any("condition failed" in n for n in cert.notes)
-
-
-@pytest.mark.parametrize("kwargs", [{"n_probes": 0}], ids=["n_probes-0"])
-def test_certificate_rejects_vacuous_sizes(cfg_bh, kwargs):
-    with pytest.raises(DomainError):
-        build_certificate(0.5, cfg_bh, **kwargs)
 
 
 def test_certificate_propagates_programming_errors(cfg_bh, monkeypatch):
