@@ -62,11 +62,15 @@ class RunConfig:
             raise DomainError(f"--output directory does not exist: {self.output}")
 
     def echo(self) -> dict:
-        # the output path plays no part in the computation; leaving it out
+        # only the fields the subcommand has flags for, in field order; the
+        # output path plays no part in the computation, and leaving it out
         # keeps reruns byte-identical regardless of where they are written
-        d = dataclasses.asdict(self)
-        d.pop("output")
-        return d
+        flags = _COMMANDS[self.command][1]
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name == "command" or f.name in flags
+        }
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -188,22 +192,35 @@ _DISPATCH = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser, *, circle: bool, reads: tuple[str, ...]) -> None:
-    if circle:
-        sp.add_argument("--a", type=float, help="circle radius in (0, 1)")
-    sp.add_argument("--b", type=float, help="drift strength, 0 <= b < 1")
-    if circle:
-        sp.add_argument(
-            "--form", choices=[f.value for f in VolumeForm], required=True, help="volume form"
-        )
-    # only the flags the subcommand reads, so an ignored one is a usage error
-    if "n" in reads:
-        sp.add_argument("--n", type=int, help="quadrature nodes (power of two >= 256)")
-    if "tol" in reads:
-        sp.add_argument("--tol", type=float, help="verification tolerance")
-    if "seed" in reads:
-        sp.add_argument("--seed", type=int, help="random seed")
-    sp.add_argument("--output", type=str, help="write the report to this path")
+# each subcommand's help and the RunConfig fields it has flags for (and echoes);
+# only these flags are accepted, so one the subcommand would ignore is a usage error
+_COMMANDS = {
+    "certificate": ("run all sufficiency checks for one circle", ("a", "b", "form", "tol", "seed")),
+    "perturb": (
+        "length-matched perturbation trials",
+        ("a", "b", "form", "n", "seed", "trials", "epsilon", "harmonics"),
+    ),
+    "conjugate": ("Jacobi determinant scan over one period", ("a", "b", "form")),
+    "check-metric": ("drift norm, potential gradient, flag-curvature residual", ("b",)),
+    "deficit-sweep": (
+        "isoperimetric deficit of circles over a radius grid",
+        ("b", "n", "tol", "a_min", "a_max", "a_count"),
+    ),
+}
+
+_FLAG_HELP = {
+    "a": (float, "circle radius in (0, 1)"),
+    "b": (float, "drift strength, 0 <= b < 1"),
+    "n": (int, "quadrature nodes (power of two >= 256)"),
+    "tol": (float, "verification tolerance"),
+    "seed": (int, "random seed"),
+    "trials": (int, "number of perturbations"),
+    "epsilon": (float, "coefficient scale"),
+    "harmonics": (int, "max perturbation harmonic"),
+    "a_min": (float, "sweep start radius"),
+    "a_max": (float, "sweep end radius"),
+    "a_count": (int, "sweep point count"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,28 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Isoperimetric sufficiency checks for circles in the Randers Poincare disc.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("certificate", help="run all sufficiency checks for one circle")
-    _add_common(sp, circle=True, reads=("tol", "seed"))
-
-    sp = sub.add_parser("perturb", help="length-matched perturbation trials")
-    _add_common(sp, circle=True, reads=("n", "seed"))
-    sp.add_argument("--trials", type=int, help="number of perturbations")
-    sp.add_argument("--epsilon", type=float, help="coefficient scale")
-    sp.add_argument("--harmonics", type=int, help="max perturbation harmonic")
-
-    sp = sub.add_parser("conjugate", help="Jacobi determinant scan over one period")
-    _add_common(sp, circle=True, reads=())
-
-    sp = sub.add_parser("check-metric", help="drift norm, potential gradient, flag-curvature residual")
-    _add_common(sp, circle=False, reads=())
-
-    sp = sub.add_parser("deficit-sweep", help="isoperimetric deficit of circles over a radius grid")
-    _add_common(sp, circle=False, reads=("n", "tol"))
-    sp.add_argument("--a-min", type=float, help="sweep start radius")
-    sp.add_argument("--a-max", type=float, help="sweep end radius")
-    sp.add_argument("--a-count", type=int, help="sweep point count")
-
+    for command, (help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name in flags:
+            if name == "form":
+                sp.add_argument(
+                    "--form", choices=[f.value for f in VolumeForm], required=True, help="volume form"
+                )
+            else:
+                kind, flag_help = _FLAG_HELP[name]
+                sp.add_argument("--" + name.replace("_", "-"), type=kind, help=flag_help)
+        sp.add_argument("--output", type=str, help="write the report to this path")
     return parser
 
 

@@ -36,10 +36,14 @@ class _PolarCurve:
         """Positions and velocities at parameters of any shape, shape ts.shape + (2,) each."""
         ts = np.asarray(ts, dtype=float)
         r, rd = self.radius_batch(ts)
-        ct, st = np.cos(ts), np.sin(ts)
-        points = np.stack([r * ct, r * st], axis=-1)
-        velocities = np.stack([rd * ct - r * st, rd * st + r * ct], axis=-1)
-        return points, velocities
+        return _polar_frame(r, rd, np.cos(ts), np.sin(ts))
+
+
+def _polar_frame(r, rd, ct, st) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities of a polar graph from r, r' and cos t, sin t."""
+    points = np.stack([r * ct, r * st], axis=-1)
+    velocities = np.stack([rd * ct - r * st, rd * st + r * ct], axis=-1)
+    return points, velocities
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,13 +88,18 @@ class PolarFourierCurve(_PolarCurve):
         return len(self.cos_coeffs)
 
     def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # cos kt and sin kt by angle addition from cos t and sin t, so a call
+        # takes two transcendental arrays whatever the harmonic count
+        c1, s1 = np.cos(ts), np.sin(ts)
+        c, s = c1, s1
         r = np.full(ts.shape, self.a0)
         rd = np.zeros(ts.shape)
         for k in range(self.harmonics):
+            if k:
+                c, s = c * c1 - s * s1, s * c1 + c * s1
             w = k + 1
-            c, s = np.cos(w * ts), np.sin(w * ts)
-            r = r + self.cos_coeffs[k] * c + self.sin_coeffs[k] * s
-            rd = rd + w * (self.sin_coeffs[k] * c - self.cos_coeffs[k] * s)
+            r += self.cos_coeffs[k] * c + self.sin_coeffs[k] * s
+            rd += w * (self.sin_coeffs[k] * c - self.cos_coeffs[k] * s)
         return r, rd
 
     def with_base_radius(self, a0: float) -> "PolarFourierCurve":

@@ -185,6 +185,25 @@ def test_run_config_defaults_are_the_library_defaults():
     assert cfg.seed == spec.seed == cert["probe_seed"].default
 
 
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("certificate", ["command", "a", "b", "form", "tol", "seed"]),
+        ("perturb", ["command", "a", "b", "form", "n", "trials", "epsilon", "harmonics", "seed"]),
+        ("conjugate", ["command", "a", "b", "form"]),
+        ("check-metric", ["command", "b"]),
+        ("deficit-sweep", ["command", "b", "n", "tol", "a_min", "a_max", "a_count"]),
+    ],
+)
+def test_config_echo_holds_only_the_subcommands_flags(command, keys):
+    echo = cli.RunConfig(command).echo()
+    assert list(echo) == keys
+    validate(echo, "config.schema.json")
+    extra = "n" if "n" not in keys else "a_count" if "a_count" not in keys else "seed"
+    with pytest.raises(jsonschema.ValidationError):
+        validate({**echo, extra: 1}, "config.schema.json")
+
+
 ERROR_CLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__
 ]

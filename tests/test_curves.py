@@ -96,6 +96,22 @@ def test_speed_identity_property(coeffs, t):
     assert float(velocity @ velocity) == pytest.approx(r * r + rd * rd, rel=1e-12)
 
 
+def test_radius_batch_matches_the_direct_harmonic_sum(rng):
+    # the angle-addition recurrence for cos kt, sin kt against np.cos(k t)
+    cos_c, sin_c = rng.uniform(-0.01, 0.01, (2, 16))
+    curve = PolarFourierCurve(0.5, tuple(cos_c), tuple(sin_c))
+    ts = rng.uniform(0.0, 20.0, (7, 9))
+    ks = np.arange(1, 17)[:, None, None]
+    r_direct = 0.5 + np.tensordot(cos_c, np.cos(ks * ts), 1) + np.tensordot(sin_c, np.sin(ks * ts), 1)
+    rd_direct = np.tensordot(ks[:, 0, 0] * sin_c, np.cos(ks * ts), 1) - np.tensordot(
+        ks[:, 0, 0] * cos_c, np.sin(ks * ts), 1
+    )
+    r, rd = curve.radius_batch(ts)
+    assert r.shape == rd.shape == ts.shape
+    assert np.max(np.abs(r - r_direct)) <= 1e-14
+    assert np.max(np.abs(rd - rd_direct)) <= 1e-13
+
+
 def test_unequal_coefficient_lists_rejected():
     with pytest.raises(DomainError, match="harmonic cutoff"):
         PolarFourierCurve(0.5, (0.05,), (0.0, 0.01))

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from randers_disc import (
     run_trials,
 )
 from randers_disc import isoperimetry
+from randers_disc.isoperimetry import MATCH_TOL, TrialBatch
 from tests.conftest import GRID_A, GRID_B
 
 
@@ -94,6 +98,48 @@ def test_match_length_residual_tolerance(cfg_bh, rng):
         assert abs(length(matched, cfg_bh).value - target) <= 1e-10
 
 
+def bisect_base_radius(curve, target, cfg):
+    """a0 with length(curve at a0) = target, by plain bisection on the admissible range."""
+    margin = sum(abs(c) for c in curve.cos_coeffs + curve.sin_coeffs)
+    lo, hi = margin + 1e-6, 1.0 - margin - 1e-6
+    f_lo = length(curve.with_base_radius(lo), cfg).value - target
+    while hi - lo >= 1e-13:
+        mid = 0.5 * (lo + hi)
+        f_mid = length(curve.with_base_radius(mid), cfg).value - target
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.7])
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8, 0.95])
+def test_match_length_newton_agrees_with_bisection(a, b):
+    cfg = RandersConfig(b, VolumeForm.BUSEMANN_HAUSDORFF)
+    target = circle_closed_forms(a, cfg)["length"]
+    spec = PerturbationSpec(seed=int(100 * a + 10 * b), harmonics=4, epsilon=0.01, count=2)
+    for curve in generate_perturbations(spec, a):
+        matched = match_length(curve, target, cfg)
+        assert abs(matched.a0 - bisect_base_radius(curve, target, cfg)) <= MATCH_TOL
+        assert abs(length(matched, cfg).value - target) <= MATCH_TOL
+
+
+def test_match_length_falls_back_to_bisection(cfg_bh):
+    # from a0 = 0.05 the target sits near the rim, where the length is far
+    # steeper, so the first Newton step overshoots the bracket
+    curve = PolarFourierCurve(0.05, (0.01,), (0.0,))
+    target = length(curve.with_base_radius(0.98), cfg_bh).value
+    h = 1e-6
+    slope = (length(curve.with_base_radius(0.05 + h), cfg_bh).value
+             - length(curve.with_base_radius(0.05 - h), cfg_bh).value) / (2.0 * h)
+    first_step = 0.05 - (length(curve, cfg_bh).value - target) / slope
+    assert first_step > 1.0 - 0.01 - 1e-6  # beyond the bracket's upper end
+    matched = match_length(curve, target, cfg_bh)
+    assert abs(length(matched, cfg_bh).value - target) <= MATCH_TOL
+    assert matched.a0 == pytest.approx(0.98, abs=1e-12)
+
+
 def test_match_length_bracketing_failure(cfg_bh):
     with pytest.raises(VerificationError, match="not bracketed"):
         match_length(PolarFourierCurve(0.5, (0.3,), (0.0,)), 1.0, cfg_bh)
@@ -144,11 +190,52 @@ def test_run_trials_records_failures(cfg_bh, monkeypatch):
         raise VerificationError("no admissible bracket")
 
     monkeypatch.setattr(isoperimetry, "match_length", boom)
-    results = run_trials(0.5, cfg_bh, PerturbationSpec(count=2))
-    for r in results:
+    spec = PerturbationSpec(count=2)
+    results = run_trials(0.5, cfg_bh, spec)
+    for r, drawn in zip(results, generate_perturbations(spec, 0.5)):
         assert not r.ok
-        assert math.isnan(r.delta_area)
-        assert "bracket" in r.note
+        assert r.note == "no admissible bracket"
+        numbers = (r.a0_matched, r.length, r.area, r.length_err, r.delta_area, r.deficit)
+        assert all(math.isnan(x) for x in numbers)
+        assert r.curve == drawn  # the drawn coefficients at the drawn base radius
+
+
+def test_trial_batch_is_a_sequence(cfg_bh):
+    batch = run_trials(0.5, cfg_bh, PerturbationSpec(seed=4, count=5))
+    assert isinstance(batch, TrialBatch)
+    assert len(batch) == 5
+    rows = list(batch)
+    assert [r.index for r in rows] == list(range(5))
+    assert batch[-1] == rows[4] and batch[-5] == rows[0]
+    assert batch[1:3] == rows[1:3]
+    with pytest.raises(IndexError):
+        batch[5]
+    with pytest.raises(IndexError):
+        batch[-6]
+    broken = dataclasses.replace(batch[2], ok=False)
+    assert not broken.ok and broken.delta_area == rows[2].delta_area
+    assert batch[2].ok
+    with pytest.raises(ValueError, match="read-only"):
+        batch.numbers[2, 0] = 0.0
+    for r, curve in zip(rows, generate_perturbations(PerturbationSpec(seed=4, count=5), 0.5)):
+        assert r.curve == curve.with_base_radius(r.a0_matched)
+
+
+def test_trial_batch_keeps_under_200_bytes_per_trial(cfg_bh):
+    # a retained list of TrialResult costs ~750 B per trial; the columns ~120 B
+    spec = PerturbationSpec(seed=6, count=200)
+    run_trials(0.5, cfg_bh, PerturbationSpec(count=1))  # first-call allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        batch = run_trials(0.5, cfg_bh, spec)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == 200
+    assert kept <= 200 * len(batch)
 
 
 # -- deficit ------------------------------------------------------------------
