@@ -15,16 +15,12 @@ from .isoperimetry import (
     run_trials,
 )
 from .metric import (
-    alpha_norm,
     beta_covector,
-    beta_value,
     christoffel,
     disc_grid,
     finsler_norm,
     fundamental_tensor,
     potential,
-    sigma_alpha,
-    volume_density,
     yasuda_shimada_residual,
 )
 from .variational import (
@@ -57,10 +53,8 @@ __all__ = [
     "RandersConfig",
     "VerificationError",
     "VolumeForm",
-    "alpha_norm",
     "area",
     "beta_covector",
-    "beta_value",
     "build_certificate",
     "check_admissible",
     "christoffel",
@@ -86,9 +80,7 @@ __all__ = [
     "potential",
     "require_admissible",
     "run_trials",
-    "sigma_alpha",
     "solve_lambda_numeric",
-    "volume_density",
     "weierstrass_E",
     "weierstrass_closed",
     "yasuda_shimada_residual",

@@ -26,51 +26,25 @@ from .metric import check_metric
 from .variational import CERT_TOL, build_certificate, conjugate_scan, determinant_curve, lambda_for_circle
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Parsed flags.
+def _check(cfg: argparse.Namespace) -> None:
+    """Reject flag values no run could use, before anything is computed."""
+    for name in _FLAGS:
+        value = getattr(cfg, name, None)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    # the EL residual and the deficit are absolute values, so no run could pass
+    if getattr(cfg, "tol", 0.0) < 0.0:
+        raise DomainError(f"--tol must be nonnegative, got {cfg.tol}")
+    # checked before any computation, so a long run cannot end in a failed write
+    if cfg.output and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.output))):
+        raise DomainError(f"--output directory does not exist: {cfg.output}")
 
-    argparse leaves an unset flag at None and main drops None values, so
-    these field defaults apply. The values the library also uses are read
-    from it; the rest are the only copy.
-    """
 
-    command: str
-    a: float = 0.5
-    b: float = 0.0
-    form: str = "bh"
-    n: int = QuadratureGrid.n
-    tol: float = CERT_TOL
-    trials: int = PerturbationSpec.count
-    epsilon: float = PerturbationSpec.epsilon
-    harmonics: int = PerturbationSpec.harmonics
-    seed: int = PerturbationSpec.seed
-    a_min: float = 0.1
-    a_max: float = 0.9
-    a_count: int = 9
-    output: str | None = None
-
-    def __post_init__(self):
-        for name, value in dataclasses.asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
-        # the EL residual and the deficit are absolute values, so no run could pass
-        if self.tol < 0.0:
-            raise DomainError(f"--tol must be nonnegative, got {self.tol}")
-        # checked before any computation, so a long run cannot end in a failed write
-        if self.output and not os.path.isdir(os.path.dirname(os.path.abspath(self.output))):
-            raise DomainError(f"--output directory does not exist: {self.output}")
-
-    def echo(self) -> dict:
-        # only the fields the subcommand has flags for, in field order; the
-        # output path plays no part in the computation, and leaving it out
-        # keeps reruns byte-identical regardless of where they are written
-        flags = _COMMANDS[self.command][1]
-        return {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name == "command" or f.name in flags
-        }
+def _echo(cfg: argparse.Namespace) -> dict:
+    # only the subcommand's flags; the output path plays no part in the
+    # computation, and leaving it out keeps reruns byte-identical regardless
+    # of where they are written
+    return {"command": cfg.command, **{name: getattr(cfg, name) for name in _COMMANDS[cfg.command][2]}}
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -90,7 +64,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output:
         _write_atomic(cfg.output, text)
     else:
@@ -101,23 +75,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _csv_text(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
-    lines = ["# config " + json.dumps(cfg.echo(), sort_keys=True, allow_nan=False)]
+def _csv_text(cfg: argparse.Namespace, header: list[str], rows: list[list]) -> str:
+    lines = ["# config " + json.dumps(_echo(cfg), sort_keys=True, allow_nan=False)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def cmd_certificate(cfg: RunConfig) -> int:
+def cmd_certificate(cfg: argparse.Namespace) -> int:
     rc = RandersConfig(cfg.b, cfg.form)
     cert = build_certificate(cfg.a, rc, tol=cfg.tol, probe_seed=cfg.seed)
-    doc = {"config": cfg.echo(), **cert.to_json_dict()}
+    doc = {"config": _echo(cfg), **cert.to_json_dict()}
     _emit(cfg, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if cert.passed else 1
 
 
-def cmd_perturb(cfg: RunConfig) -> int:
+def cmd_perturb(cfg: argparse.Namespace) -> int:
     rc = RandersConfig(cfg.b, cfg.form)
     spec = PerturbationSpec(
         seed=cfg.seed, harmonics=cfg.harmonics, epsilon=cfg.epsilon, count=cfg.trials
@@ -132,13 +106,13 @@ def cmd_perturb(cfg: RunConfig) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def cmd_conjugate(cfg: RunConfig) -> int:
+def cmd_conjugate(cfg: argparse.Namespace) -> int:
     rc = RandersConfig(cfg.b, cfg.form)
     lam = lambda_for_circle(cfg.a, rc)
     report = conjugate_scan(Circle(cfg.a), rc.kappa, lam)
     cs, Ds = determinant_curve(report.coeffs)
     doc = {
-        "config": cfg.echo(),
+        "config": _echo(cfg),
         "lambda": lam,
         "jacobi": dataclasses.asdict(report.coeffs),
         "zero_crossing": report.zero_crossing,
@@ -151,14 +125,14 @@ def cmd_conjugate(cfg: RunConfig) -> int:
     return 0 if not report.zero_crossing else 1
 
 
-def cmd_check_metric(cfg: RunConfig) -> int:
-    rc = RandersConfig(cfg.b, cfg.form)
-    doc = {"config": cfg.echo(), "b": rc.b, "form": rc.form.value, **check_metric(rc)}
+def cmd_check_metric(cfg: argparse.Namespace) -> int:
+    rc = RandersConfig(cfg.b)
+    doc = {"config": _echo(cfg), "b": rc.b, **check_metric(rc)}
     _emit(cfg, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0 if doc["pass"] else 1
 
 
-def cmd_deficit_sweep(cfg: RunConfig) -> int:
+def cmd_deficit_sweep(cfg: argparse.Namespace) -> int:
     if not (0.0 < cfg.a_min <= cfg.a_max < 1.0) or cfg.a_count < 1:
         raise DomainError("sweep grid must satisfy 0 < a_min <= a_max < 1 and a_count >= 1")
     grid = QuadratureGrid(cfg.n)
@@ -183,43 +157,41 @@ def cmd_deficit_sweep(cfg: RunConfig) -> int:
     return 0 if worst <= cfg.tol else 1
 
 
-_DISPATCH = {
-    "certificate": cmd_certificate,
-    "perturb": cmd_perturb,
-    "conjugate": cmd_conjugate,
-    "check-metric": cmd_check_metric,
-    "deficit-sweep": cmd_deficit_sweep,
+# name -> (type, library default, help), in the order reports echo them;
+# --form has no default, it is a required choice
+_FLAGS = {
+    "a": (float, 0.5, "circle radius in (0, 1)"),
+    "b": (float, 0.0, "drift strength, 0 <= b < 1"),
+    "form": (VolumeForm, None, "volume form"),
+    "n": (int, QuadratureGrid.n, "quadrature nodes (power of two >= 256)"),
+    "tol": (float, CERT_TOL, "verification tolerance"),
+    "trials": (int, PerturbationSpec.count, "number of perturbations"),
+    "epsilon": (float, PerturbationSpec.epsilon, "coefficient scale"),
+    "harmonics": (int, PerturbationSpec.harmonics, "max perturbation harmonic"),
+    "seed": (int, PerturbationSpec.seed, "random seed"),
+    "a_min": (float, 0.1, "sweep start radius"),
+    "a_max": (float, 0.9, "sweep end radius"),
+    "a_count": (int, 9, "sweep point count"),
 }
 
-
-# each subcommand's help and the RunConfig fields it has flags for (and echoes);
+# subcommand -> (function, help, the flags it reads and echoes, in _FLAGS order);
 # only these flags are accepted, so one the subcommand would ignore is a usage error
 _COMMANDS = {
-    "certificate": ("run all sufficiency checks for one circle", ("a", "b", "form", "tol", "seed")),
-    "perturb": (
-        "length-matched perturbation trials",
-        ("a", "b", "form", "n", "seed", "trials", "epsilon", "harmonics"),
+    "certificate": (
+        cmd_certificate, "run all sufficiency checks for one circle", ("a", "b", "form", "tol", "seed")
     ),
-    "conjugate": ("Jacobi determinant scan over one period", ("a", "b", "form")),
-    "check-metric": ("drift norm, potential gradient, flag-curvature residual", ("b",)),
+    "perturb": (
+        cmd_perturb,
+        "length-matched perturbation trials",
+        ("a", "b", "form", "n", "trials", "epsilon", "harmonics", "seed"),
+    ),
+    "conjugate": (cmd_conjugate, "Jacobi determinant scan over one period", ("a", "b", "form")),
+    "check-metric": (cmd_check_metric, "drift norm, potential gradient, flag-curvature residual", ("b",)),
     "deficit-sweep": (
+        cmd_deficit_sweep,
         "isoperimetric deficit of circles over a radius grid",
         ("b", "n", "tol", "a_min", "a_max", "a_count"),
     ),
-}
-
-_FLAG_HELP = {
-    "a": (float, "circle radius in (0, 1)"),
-    "b": (float, "drift strength, 0 <= b < 1"),
-    "n": (int, "quadrature nodes (power of two >= 256)"),
-    "tol": (float, "verification tolerance"),
-    "seed": (int, "random seed"),
-    "trials": (int, "number of perturbations"),
-    "epsilon": (float, "coefficient scale"),
-    "harmonics": (int, "max perturbation harmonic"),
-    "a_min": (float, "sweep start radius"),
-    "a_max": (float, "sweep end radius"),
-    "a_count": (int, "sweep point count"),
 }
 
 
@@ -229,16 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Isoperimetric sufficiency checks for circles in the Randers Poincare disc.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMANDS.items():
+    for command, (_, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         for name in flags:
-            if name == "form":
-                sp.add_argument(
-                    "--form", choices=[f.value for f in VolumeForm], required=True, help="volume form"
-                )
+            kind, default, flag_help = _FLAGS[name]
+            flag = "--" + name.replace("_", "-")
+            if kind is VolumeForm:
+                sp.add_argument(flag, choices=[f.value for f in VolumeForm], required=True, help=flag_help)
             else:
-                kind, flag_help = _FLAG_HELP[name]
-                sp.add_argument("--" + name.replace("_", "-"), type=kind, help=flag_help)
+                sp.add_argument(flag, type=kind, default=default, help=flag_help)
         sp.add_argument("--output", type=str, help="write the report to this path")
     return parser
 
@@ -246,13 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    kwargs = {k: v for k, v in vars(ns).items() if v is not None}
     try:
-        cfg = RunConfig(**kwargs)
-        return _DISPATCH[cfg.command](cfg)
+        _check(cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -105,16 +105,6 @@ class PolarFourierCurve(_PolarCurve):
     def with_base_radius(self, a0: float) -> "PolarFourierCurve":
         return PolarFourierCurve(a0, self.cos_coeffs, self.sin_coeffs)
 
-    def rotated(self, phi: float) -> "PolarFourierCurve":
-        """Parameter shift t -> t + phi expressed back in coefficients."""
-        cos_c, sin_c = [], []
-        for k in range(self.harmonics):
-            w = (k + 1) * phi
-            cw, sw = math.cos(w), math.sin(w)
-            cos_c.append(self.cos_coeffs[k] * cw + self.sin_coeffs[k] * sw)
-            sin_c.append(-self.cos_coeffs[k] * sw + self.sin_coeffs[k] * cw)
-        return PolarFourierCurve(self.a0, tuple(cos_c), tuple(sin_c))
-
 
 def check_admissible(curve: _PolarCurve) -> bool:
     """True iff r(t) in (margin, 1 - margin) and |velocity| > margin on the grid."""

@@ -33,10 +33,6 @@ class QuadratureGrid:
     def nodes(self) -> np.ndarray:
         return TWO_PI * np.arange(self.n) / self.n
 
-    @property
-    def weight(self) -> float:
-        return TWO_PI / self.n
-
 
 @dataclasses.dataclass(frozen=True)
 class FunctionalValue:

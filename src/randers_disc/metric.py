@@ -43,14 +43,14 @@ def _as_point(p) -> np.ndarray:
     return q
 
 
-def _as_vector(v, *, nonzero: bool = True) -> np.ndarray:
+def _as_vector(v) -> np.ndarray:
     w = np.asarray(v, dtype=float)
     if w.shape[-1:] != (2,):
         raise DomainError(f"vector must have two components, got shape {w.shape}")
     nonfinite = ~np.all(np.isfinite(w), axis=-1)
     if np.any(nonfinite):
         raise DomainError(f"vector {w[nonfinite][0].tolist()} has a non-finite component")
-    if nonzero and np.any((w[..., 0] == 0.0) & (w[..., 1] == 0.0)):
+    if np.any((w[..., 0] == 0.0) & (w[..., 1] == 0.0)):
         raise DomainError("zero vector is outside the metric's domain")
     return w
 
@@ -63,28 +63,17 @@ def _drift_radius(q: np.ndarray) -> np.ndarray:
     return r
 
 
-def _norm_terms(q: np.ndarray, w: np.ndarray, b: float):
-    """Unvalidated (alpha, beta) at points q and vectors w; r^2 is computed
-    once, and beta is 0.0 when b = 0, where its formula fails at the origin."""
-    x1, x2 = q[..., 0], q[..., 1]
-    v1, v2 = w[..., 0], w[..., 1]
+def _randers_norm(points: np.ndarray, velocities: np.ndarray, b: float) -> np.ndarray:
+    """Unvalidated F = alpha + beta, for callers whose points are admissible
+    already; beta is left out when b = 0, where its formula fails at the origin."""
+    x1, x2 = points[..., 0], points[..., 1]
+    v1, v2 = velocities[..., 0], velocities[..., 1]
     r2 = x1 * x1 + x2 * x2
     s = 1.0 - r2
     alpha = 2.0 * np.hypot(v1, v2) / s
     if b == 0.0:
-        return alpha, 0.0
-    return alpha, 2.0 * b * (x1 * v1 + x2 * v2) / (s * np.sqrt(r2))
-
-
-def _randers_norm(points: np.ndarray, velocities: np.ndarray, b: float) -> np.ndarray:
-    """Unvalidated F = alpha + beta, for callers whose points are admissible already."""
-    alpha, beta = _norm_terms(points, velocities, b)
-    return alpha + beta
-
-
-def alpha_norm(p, v) -> np.ndarray:
-    """Hyperbolic norm 2|v| / (1 - r^2)."""
-    return _norm_terms(_as_point(p), _as_vector(v), 0.0)[0]
+        return alpha
+    return alpha + 2.0 * b * (x1 * v1 + x2 * v2) / (s * np.sqrt(r2))
 
 
 def beta_covector(p, cfg: RandersConfig) -> np.ndarray:
@@ -94,16 +83,6 @@ def beta_covector(p, cfg: RandersConfig) -> np.ndarray:
         return np.zeros(q.shape)
     r = _drift_radius(q)
     return 2.0 * cfg.b * q / ((1.0 - r * r) * r)[..., None]
-
-
-def beta_value(p, v, cfg: RandersConfig) -> np.ndarray:
-    """beta evaluated on a tangent vector."""
-    q = _as_point(p)
-    w = _as_vector(v, nonzero=False)
-    if cfg.b == 0.0:
-        return np.zeros(np.broadcast_shapes(q.shape, w.shape)[:-1])[()]
-    _drift_radius(q)
-    return _norm_terms(q, w, cfg.b)[1]
 
 
 def potential(p, cfg: RandersConfig) -> np.ndarray:
@@ -120,18 +99,6 @@ def finsler_norm(p, v, cfg: RandersConfig) -> np.ndarray:
     if cfg.b != 0.0:
         _drift_radius(q)
     return _randers_norm(q, w, cfg.b)
-
-
-def sigma_alpha(p) -> np.ndarray:
-    """Riemannian area density 4 / (1 - r^2)^2."""
-    q = _as_point(p)
-    s = 1.0 - q[..., 0] * q[..., 0] - q[..., 1] * q[..., 1]
-    return 4.0 / (s * s)
-
-
-def volume_density(p, cfg: RandersConfig) -> np.ndarray:
-    """kappa(form, b) * sigma_alpha(p)."""
-    return cfg.kappa * sigma_alpha(p)
 
 
 def christoffel(p) -> np.ndarray:

@@ -18,6 +18,7 @@ A circle passes when, with its multiplier lam = -2 a kappa/(1 + a^2):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -179,8 +180,12 @@ def hessian_velocity_form(circle: Circle, kap: float, lam: float, t, y) -> np.nd
     x1, x2 = _components(points)
     v1, v2 = _components(velocities)
     step = _HESS_REL_STEP * circle.a / np.where(nonzero, ny, 1.0)
-    form = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_ * y1, v2 + s_ * y2, kap, lam), 0.0, step)
-    return np.where(nonzero, form, 0.0)
+    return np.where(nonzero, _velocity_second(x1, x2, v1, v2, y1, y2, kap, lam, step), 0.0)
+
+
+def _velocity_second(x1, x2, v1, v2, y1, y2, kap: float, lam: float, step):
+    """5-point second derivative of h at (x, v) along the velocity direction y."""
+    return fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_ * y1, v2 + s_ * y2, kap, lam), 0.0, step)
 
 
 def hessian_velocity_closed(circle: Circle, lam: float, t, y) -> np.ndarray:
@@ -230,19 +235,16 @@ def jacobi_coeffs(circle: Circle, kap: float, lam: float, t: float = 0.0) -> Jac
         point, velocity = circle.batch(tau)
         return [*point.tolist(), *velocity.tolist()]
 
-    def h_v1v1(x1, x2, v1, v2) -> float:
-        return fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_, v2, kap, lam), 0.0, hv)
-
     def K_at(tau: float) -> float:
         x1, x2, v1, v2 = kinematics(tau)
         mixed = fd.mixed_4th(
             lambda sx, sv: lagrangian(x1 + sx, x2, v1 + sv, v2, kap, lam), 0.0, 0.0, hx, hvm
         )
         # -x2 is the second derivative of x^2 along the circle
-        return mixed + x2 * h_v1v1(x1, x2, v1, v2) / v2
+        return mixed + x2 * _velocity_second(x1, x2, v1, v2, 1.0, 0.0, kap, lam, hv) / v2
 
     x1, x2, v1, v2 = kinematics(t)
-    h1 = h_v1v1(x1, x2, v1, v2) / (v2 * v2)
+    h1 = _velocity_second(x1, x2, v1, v2, 1.0, 0.0, kap, lam, hv) / (v2 * v2)
     K = K_at(t)
     dK = fd.d1_4th(K_at, t, _RATE_STEP)
     h_x1x1 = fd.d2_5pt(lambda s_: lagrangian(x1 + s_, x2, v1, v2, kap, lam), 0.0, hx)
@@ -255,7 +257,7 @@ def jacobi_coeffs(circle: Circle, kap: float, lam: float, t: float = 0.0) -> Jac
     g_v1x2 = fd.mixed_4th(
         lambda sv, sx: lagrangian(x1, x2 + sx, v1 + sv, v2, 0.0, 1.0), 0.0, 0.0, hvm, hx
     )
-    g_v1v1 = fd.d2_5pt(lambda s_: lagrangian(x1, x2, v1 + s_, v2, 0.0, 1.0), 0.0, hv)
+    g_v1v1 = _velocity_second(x1, x2, v1, v2, 1.0, 0.0, 0.0, 1.0, hv)
     # d/dt (v1/v2) along the circle, analytically: (a1 v2 - v1 a2)/v2^2 = -1/cos^2
     dtan = -1.0 / (math.cos(t) * math.cos(t))
     U = (g_x1v2 - g_v1x2) - g_v1v1 * dtan
@@ -294,14 +296,16 @@ def _rk4_determinants(h1: float, h2: float, U: float, n_steps: int, stride: int)
     )
     eye = np.eye(4)
     R = eye
-    for k in (4.0, 3.0, 2.0, 1.0):
-        R = eye + (HA @ R) / k
-    step = np.linalg.matrix_power(R, stride)
     X = eye[:, [0, 1, 3]]
     out = np.empty(n_steps // stride)
-    for i in range(out.size):
-        X = step @ X
-        out[i] = X[0, 1] * X[2, 2] - X[0, 2] * X[2, 1]
+    # coefficients from a near-zero h1 overflow; the caller rejects the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (4.0, 3.0, 2.0, 1.0):
+            R = eye + (HA @ R) / k
+        step = np.linalg.matrix_power(R, stride)
+        for i in range(out.size):
+            X = step @ X
+            out[i] = X[0, 1] * X[2, 2] - X[0, 2] * X[2, 1]
     return out
 
 
@@ -360,30 +364,34 @@ def conjugate_scan(circle: Circle, kap: float, lam: float) -> ConjugateScanRepor
 #    component 2.  J'' is the quadratic form v . M v, and the linearized length
 #    constraint the linear form ell . v; M and ell are assembled once per circle.
 
-def _window_basis(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin(t/2) * [1, cos kt, sin kt (k=1..PROBE_HARMONICS)] and its t-derivative, each (13, len(ts))."""
+@functools.cache
+def _variation_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ts, w, B, dB) on the VARIATION_PANELS + 1 closed trapezoid nodes over [0, 2*pi].
+
+    ts and w are the nodes and weights (the window is not periodic); B is
+    sin(t/2) * [1, cos kt, sin kt (k=1..PROBE_HARMONICS)] and dB its
+    t-derivative, each (13, len(ts)).  Built once and shared, so read-only.
+    """
+    n = VARIATION_PANELS
+    ts = np.linspace(0.0, TWO_PI, n + 1)
+    w = np.full(n + 1, TWO_PI / n)
+    w[0] *= 0.5
+    w[-1] *= 0.5
     k = np.arange(1, PROBE_HARMONICS + 1)[:, None]
     cos, sin = np.cos(k * ts), np.sin(k * ts)
     P = np.concatenate([np.ones((1, ts.size)), cos, sin])
     dP = np.concatenate([np.zeros((1, ts.size)), -k * sin, k * cos])
     win, dwin = np.sin(0.5 * ts), 0.5 * np.cos(0.5 * ts)
-    return win * P, dwin * P + win * dP
-
-
-def _variation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed trapezoid nodes over [0, 2*pi]; the window is not periodic."""
-    ts = np.linspace(0.0, TWO_PI, n + 1)
-    w = np.full(n + 1, TWO_PI / n)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return ts, w
+    basis = (ts, w, win * P, dwin * P + win * dP)
+    for array in basis:
+        array.flags.writeable = False
+    return basis
 
 
 def constraint_vector(circle: Circle) -> np.ndarray:
     """ell on each coefficient basis element: integral of g_x . y + g_v . ydot (length 26)."""
-    ts, w = _variation_nodes(VARIATION_PANELS)
+    ts, w, B, dB = _variation_basis()
     gx, gv = _g_gradients(*circle.batch(ts))
-    B, dB = _window_basis(ts)
     return np.concatenate([B @ (w * gx[:, c]) + dB @ (w * gv[:, c]) for c in range(2)])
 
 
@@ -423,14 +431,13 @@ def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarr
 
 
 def second_variation_matrix(blocks: np.ndarray) -> np.ndarray:
-    """Symmetric M with J''(v) = v . M v, from the (4, 4, n+1) blocks on the n-panel nodes.
+    """Symmetric M with J''(v) = v . M v, from the (4, 4, VARIATION_PANELS + 1) blocks on the basis nodes.
 
     Component c of a basis field fills position slot c with the window basis
     and velocity slot 2 + c with its derivative, so the (c, d) block of M is
     the trapezoid sum of F_i (w H_ij) F_j over i in {c, 2+c}, j in {d, 2+d}.
     """
-    ts, w = _variation_nodes(blocks.shape[-1] - 1)
-    B, dB = _window_basis(ts)
+    _, w, B, dB = _variation_basis()
     F = (B, B, dB, dB)
     m = len(B)
     M = np.empty((2 * m, 2 * m))
@@ -540,7 +547,7 @@ def build_certificate(
         return value
 
     def probe_max() -> float:
-        M = second_variation_matrix(hessian_blocks(a, kap, lam, _variation_nodes(VARIATION_PANELS)[0]))
+        M = second_variation_matrix(hessian_blocks(a, kap, lam, _variation_basis()[0]))
         ell = constraint_vector(circle)
         probes = np.random.default_rng(probe_seed).standard_normal((N_PROBES, ell.size))
         return float(np.max(_quadratic_forms(_onto_kernel(probes, ell), M)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from randers_disc import Circle, RandersConfig, VolumeForm, lambda_for_circle
+from randers_disc import Circle, PolarFourierCurve, RandersConfig, VolumeForm, lambda_for_circle
 
 settings.register_profile(
     "suite",
@@ -36,3 +36,10 @@ def system_half(cfg_bh):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240815)
+
+
+def rotated(curve, phi):
+    """The curve with parameter t -> t + phi, expressed back in Fourier coefficients."""
+    k = np.arange(1, curve.harmonics + 1) * phi
+    c, s = np.array(curve.cos_coeffs), np.array(curve.sin_coeffs)
+    return PolarFourierCurve(curve.a0, c * np.cos(k) + s * np.sin(k), s * np.cos(k) - c * np.sin(k))

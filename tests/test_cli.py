@@ -50,6 +50,11 @@ def run(argv, tmp_path, name="out"):
     return rc, out
 
 
+def replace_command(monkeypatch, command, fn):
+    """Make the subcommand run fn, keeping its help and flags."""
+    monkeypatch.setitem(cli._COMMANDS, command, (fn, *cli._COMMANDS[command][1:]))
+
+
 # -- argument handling --------------------------------------------------------
 
 def test_no_command_is_usage_error(capsys):
@@ -157,7 +162,7 @@ def test_non_finite_floats_are_usage_errors(argv, capsys, monkeypatch, tmp_path)
     def computed(cfg):
         raise AssertionError("the command ran")
 
-    monkeypatch.setitem(cli._DISPATCH, argv[0], computed)
+    replace_command(monkeypatch, argv[0], computed)
     rc, out = run(argv, tmp_path)
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err
@@ -168,36 +173,53 @@ def test_missing_output_directory_is_usage_error(capsys, monkeypatch, tmp_path):
     def computed(cfg):
         raise AssertionError("the command ran")
 
-    monkeypatch.setitem(cli._DISPATCH, "check-metric", computed)
+    replace_command(monkeypatch, "check-metric", computed)
     rc = main(["check-metric", "--b", "0.5", "--output", str(tmp_path / "no" / "such" / "m.json")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: --output directory does not exist")
     assert not (tmp_path / "no").exists()
 
 
+def parse_defaults(command):
+    """The parsed flags of a subcommand given only its required --form."""
+    required = ["--form", "bh"] if "form" in cli._COMMANDS[command][2] else []
+    return cli.build_parser().parse_args([command, *required])
+
+
 def test_run_config_defaults_are_the_library_defaults():
-    cfg = cli.RunConfig("certificate")
     cert = inspect.signature(build_certificate).parameters
     spec = PerturbationSpec()
-    assert cfg.n == QuadratureGrid().n
-    assert cfg.tol == cert["tol"].default
-    assert (cfg.trials, cfg.epsilon, cfg.harmonics) == (spec.count, spec.epsilon, spec.harmonics)
-    assert cfg.seed == spec.seed == cert["probe_seed"].default
+    certificate, perturb, sweep = (parse_defaults(c) for c in ("certificate", "perturb", "deficit-sweep"))
+    assert perturb.n == sweep.n == QuadratureGrid().n
+    assert certificate.tol == sweep.tol == cert["tol"].default
+    assert (perturb.trials, perturb.epsilon, perturb.harmonics) == (spec.count, spec.epsilon, spec.harmonics)
+    assert certificate.seed == perturb.seed == spec.seed == cert["probe_seed"].default
+    assert (certificate.a, certificate.b) == (perturb.a, perturb.b) == (0.5, 0.0)
+    assert (sweep.a_min, sweep.a_max, sweep.a_count) == (0.1, 0.9, 9)
+
+
+CONFIG_SCHEMA = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
+
+
+def schema_keys(command):
+    """(allowed, required) echo keys of one subcommand in config.schema.json."""
+    for rule in CONFIG_SCHEMA["allOf"]:
+        if rule["if"]["properties"]["command"]["const"] == command:
+            then = rule["then"]
+            required = CONFIG_SCHEMA["required"] + then.get("required", [])
+            return set(then["propertyNames"]["enum"]), set(required)
+    raise AssertionError(f"config.schema.json has no rule for {command}")
 
 
 @pytest.mark.parametrize(
-    "command, keys",
-    [
-        ("certificate", ["command", "a", "b", "form", "tol", "seed"]),
-        ("perturb", ["command", "a", "b", "form", "n", "trials", "epsilon", "harmonics", "seed"]),
-        ("conjugate", ["command", "a", "b", "form"]),
-        ("check-metric", ["command", "b"]),
-        ("deficit-sweep", ["command", "b", "n", "tol", "a_min", "a_max", "a_count"]),
-    ],
+    "command, keys", [(command, ["command", *flags]) for command, (_, _, flags) in cli._COMMANDS.items()]
 )
 def test_config_echo_holds_only_the_subcommands_flags(command, keys):
-    echo = cli.RunConfig(command).echo()
+    assert keys[1:] == [name for name in cli._FLAGS if name in keys]  # in echo order
+    echo = cli._echo(parse_defaults(command))
     assert list(echo) == keys
+    # the table and the schema name the same keys, and every one is required
+    assert schema_keys(command) == (set(keys), set(keys))
     validate(echo, "config.schema.json")
     extra = "n" if "n" not in keys else "a_count" if "a_count" not in keys else "seed"
     with pytest.raises(jsonschema.ValidationError):
@@ -216,7 +238,7 @@ def test_error_class_sets_exit_code(cls, capsys, monkeypatch):
     def raising(cfg):
         raise cls("injected")
 
-    monkeypatch.setitem(cli._DISPATCH, "check-metric", raising)
+    replace_command(monkeypatch, "check-metric", raising)
     assert main(["check-metric"]) == (2 if issubclass(cls, DomainError) else 1)
     assert capsys.readouterr().err == "error: injected\n"
 
@@ -251,7 +273,7 @@ DOCUMENT_SCHEMAS = {
 
 
 def test_readme_shows_every_subcommand():
-    assert sorted(argv[0] for argv in README_COMMANDS) == sorted(cli._DISPATCH)
+    assert sorted(argv[0] for argv in README_COMMANDS) == sorted(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
@@ -360,7 +382,8 @@ def test_check_metric_document_is_the_library_check(b, tmp_path):
     doc = json.loads(out.read_text())
     check = check_metric(RandersConfig(b))
     assert rc == (0 if check["pass"] else 1)
-    assert {k: doc[k] for k in check} == check
+    # the check depends only on b, so the report names no volume form
+    assert doc == {"config": {"command": "check-metric", "b": b}, "b": b, **check}
 
 
 def test_check_metric_riemannian_skips_curvature_check(tmp_path):

@@ -18,6 +18,7 @@ from randers_disc import (
 )
 from randers_disc.curves import TWO_PI
 from randers_disc import fd
+from tests.conftest import rotated
 
 small_coeffs = st.lists(st.floats(-0.03, 0.03), min_size=1, max_size=4)
 
@@ -131,7 +132,7 @@ def test_admissibility_cases():
 def test_rotation_shifts_the_radius_function():
     curve = PolarFourierCurve(0.5, (0.04, -0.01, 0.02), (0.01, 0.03, -0.02))
     phi = 0.7
-    rot = curve.rotated(phi)
+    rot = rotated(curve, phi)
     ts = np.linspace(0.0, TWO_PI, 17)
     r_rot, rd_rot = rot.radius_batch(ts)
     r, rd = curve.radius_batch(ts + phi)
@@ -141,7 +142,7 @@ def test_rotation_shifts_the_radius_function():
 
 def test_rotation_by_period_is_identity():
     curve = PolarFourierCurve(0.5, (0.04, -0.01), (0.01, 0.03))
-    back = curve.rotated(TWO_PI)
+    back = rotated(curve, TWO_PI)
     assert back.cos_coeffs == pytest.approx(curve.cos_coeffs, abs=1e-15)
     assert back.sin_coeffs == pytest.approx(curve.sin_coeffs, abs=1e-15)
 

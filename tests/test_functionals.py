@@ -29,7 +29,7 @@ def test_quadrature_grid_validation():
     g = QuadratureGrid(512)
     assert len(g.nodes) == 512
     assert g.nodes[0] == 0.0
-    assert g.weight == pytest.approx(2.0 * math.pi / 512)
+    assert g.nodes[1] == pytest.approx(2.0 * math.pi / 512)
 
 
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])

@@ -23,7 +23,7 @@ from randers_disc import (
 )
 from randers_disc import isoperimetry
 from randers_disc.isoperimetry import MATCH_TOL, TrialBatch
-from tests.conftest import GRID_A, GRID_B
+from tests.conftest import GRID_A, GRID_B, rotated
 
 
 # -- perturbation generation --------------------------------------------------
@@ -179,8 +179,7 @@ def test_run_trials_rotation_invariance(cfg_bh):
     base = run_trials(0.5, cfg_bh, spec)
     closed = circle_closed_forms(0.5, cfg_bh)
     for r in base:
-        rotated = r.curve.rotated(1.1)
-        matched = match_length(rotated, closed["length"], cfg_bh)
+        matched = match_length(rotated(r.curve, 1.1), closed["length"], cfg_bh)
         d_rot = isoperimetry.area(matched, cfg_bh).value - closed["area"]
         assert d_rot == pytest.approx(r.delta_area, abs=1e-10)
 

@@ -9,16 +9,12 @@ from randers_disc import (
     DomainError,
     RandersConfig,
     VolumeForm,
-    alpha_norm,
     beta_covector,
-    beta_value,
     christoffel,
     disc_grid,
     finsler_norm,
     fundamental_tensor,
     potential,
-    sigma_alpha,
-    volume_density,
     yasuda_shimada_residual,
 )
 from randers_disc import fd
@@ -36,6 +32,14 @@ vectors_strategy = st.tuples(
 ).map(lambda ma: (ma[0] * math.cos(ma[1]), ma[0] * math.sin(ma[1])))
 
 
+# alpha is F at b = 0, and beta is F_b - F_0
+RIEMANNIAN = RandersConfig(0.0)
+
+
+def alpha_norm(p, v):
+    return finsler_norm(p, v, RIEMANNIAN)
+
+
 def test_alpha_norm_values():
     assert alpha_norm((0.0, 0.0), (1.0, 0.0)) == 2.0
     assert alpha_norm((0.5, 0.0), (0.0, 3.0)) == pytest.approx(8.0, rel=1e-15)
@@ -49,22 +53,26 @@ def test_alpha_norm_rejects_bad_input():
 
 
 def test_beta_value_example():
-    cfg = RandersConfig(0.5)
-    val = beta_value((0.3, 0.0), (1.0, 0.0), cfg)
+    # beta = 2b <x, v> / ((1 - r^2) r) = 2 * 0.5 * 0.3 / (0.91 * 0.3)
+    p, v = (0.3, 0.0), (1.0, 0.0)
+    val = finsler_norm(p, v, RandersConfig(0.5)) - alpha_norm(p, v)
     assert val == pytest.approx(1.0 / 0.91, rel=1e-14)
 
 
 def test_finsler_norm_is_alpha_plus_beta():
-    cfg = RandersConfig(0.4)
-    p, v = (0.2, -0.3), (0.7, 1.1)
-    assert finsler_norm(p, v, cfg) == pytest.approx(
-        alpha_norm(p, v) + beta_value(p, v, cfg), rel=1e-15
-    )
+    b = 0.4
+    (x1, x2), (v1, v2) = p, v = (0.2, -0.3), (0.7, 1.1)
+    s = 1.0 - x1 * x1 - x2 * x2
+    alpha = 2.0 * math.hypot(v1, v2) / s
+    beta = 2.0 * b * (x1 * v1 + x2 * v2) / (s * math.hypot(x1, x2))
+    assert alpha_norm(p, v) == pytest.approx(alpha, rel=1e-15)
+    assert finsler_norm(p, v, RandersConfig(b)) == pytest.approx(alpha + beta, rel=1e-15)
 
 
 def test_beta_riemannian_case_is_zero_everywhere():
     cfg = RandersConfig(0.0)
-    assert beta_value((0.0, 0.0), (1.0, 2.0), cfg) == 0.0
+    # the drift's formula fails at the origin; at b = 0 the norm is still alpha there
+    assert finsler_norm((0.0, 0.0), (1.0, 2.0), cfg) == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-15)
     assert np.all(beta_covector((0.4, 0.1), cfg) == 0.0)
     assert potential((0.6, 0.2), cfg) == 0.0
 
@@ -98,17 +106,6 @@ def test_potential_gradient_is_the_drift_covector(b):
                 return potential(q, cfg)
 
             assert fd.d1_central(shifted, 0.0, 1e-6) == pytest.approx(beta[i], abs=1e-8)
-
-
-def test_sigma_alpha_and_density():
-    assert sigma_alpha((0.0, 0.0)) == 4.0
-    p = (0.5, 0.0)
-    assert sigma_alpha(p) == pytest.approx(4.0 / 0.75**2, rel=1e-15)
-    for b in (0.0, 0.3, 0.7):
-        ht = volume_density(p, RandersConfig(b, VolumeForm.HOLMES_THOMPSON))
-        for form in VolumeForm:
-            cfg = RandersConfig(b, form)
-            assert volume_density(p, cfg) == cfg.kappa * ht  # bitwise by construction
 
 
 def test_kappa_values():
@@ -211,10 +208,9 @@ def test_array_calls_equal_per_point_calls_bitwise(b):
     cfg = RandersConfig(b, VolumeForm.MAX)
     points = disc_grid()
     pairs = [(p, v) for p in points for v in DIRECTIONS]
-    for fn in (alpha_norm, lambda p, v: beta_value(p, v, cfg), lambda p, v: finsler_norm(p, v, cfg)):
+    for fn in (alpha_norm, lambda p, v: finsler_norm(p, v, cfg)):
         assert fn(points[:, None], DIRECTIONS).ravel().tolist() == [float(fn(p, v)) for p, v in pairs]
-    for fn in (lambda p: potential(p, cfg), sigma_alpha, lambda p: volume_density(p, cfg)):
-        assert fn(points).tolist() == [float(fn(p)) for p in points]
+    assert potential(points, cfg).tolist() == [float(potential(p, cfg)) for p in points]
     assert beta_covector(points, cfg).tolist() == [beta_covector(p, cfg).tolist() for p in points]
     assert christoffel(points).tolist() == [christoffel(p).tolist() for p in points]
     g = fundamental_tensor(points[:, None], DIRECTIONS, cfg)
@@ -231,11 +227,11 @@ def test_array_calls_reject_any_bad_entry():
     with pytest.raises(DomainError, match="zero vector"):
         finsler_norm(points, np.vstack([points[1:], [(0.0, 0.0)]]), RandersConfig(0.3))
     with pytest.raises(DomainError, match="origin"):
-        beta_value(np.vstack([points, [(0.0, 0.0)]]), (1.0, 0.0), RandersConfig(0.3))
+        finsler_norm(np.vstack([points, [(0.0, 0.0)]]), (1.0, 0.0), RandersConfig(0.3))
     with pytest.raises(DomainError, match="r < 0.01"):
         yasuda_shimada_residual(np.vstack([points, [(0.005, 0.0)]]), RandersConfig(0.5))
     with pytest.raises(DomainError, match="two coordinates"):
-        sigma_alpha(np.zeros((4, 3)))
+        potential(np.zeros((4, 3)), RandersConfig(0.3))
     with pytest.raises(DomainError, match="zero vector"):
         fundamental_tensor(points, np.vstack([points[1:], [(0.0, 0.0)]]), RandersConfig(0.3))
 
@@ -251,11 +247,8 @@ CFG = RandersConfig(0.3)
         (lambda: alpha_norm((0.1, 0.1), (1.0, math.inf)), r"vector \[1.0, inf\] has a non-finite"),
         (lambda: finsler_norm((NAN, 0.1), (1.0, 0.0), CFG), r"point \[nan, 0.1\]"),
         (lambda: finsler_norm((0.1, 0.1), (NAN, 0.0), CFG), r"vector \[nan, 0.0\] has a non-finite"),
-        (lambda: beta_value((0.1, 0.1), (0.0, NAN), CFG), r"vector \[0.0, nan\] has a non-finite"),
         (lambda: beta_covector((NAN, NAN), CFG), r"point \[nan, nan\]"),
         (lambda: potential((0.2, NAN), CFG), r"point \[0.2, nan\]"),
-        (lambda: sigma_alpha((NAN, 0.0)), r"point \[nan, 0.0\]"),
-        (lambda: volume_density((-math.inf, 0.0), CFG), r"point \[-inf, 0.0\]"),
         (lambda: christoffel((0.1, NAN)), r"point \[0.1, nan\]"),
         (lambda: fundamental_tensor((0.1, 0.1), (NAN, 1.0), CFG), r"vector \[nan, 1.0\] has a non-finite"),
         (lambda: yasuda_shimada_residual((NAN, 0.3), CFG), r"point \[nan, 0.3\]"),
@@ -265,8 +258,8 @@ CFG = RandersConfig(0.3)
     ],
     ids=[
         "alpha_norm-point", "alpha_norm-vector", "finsler_norm-point", "finsler_norm-vector",
-        "beta_value-vector", "beta_covector", "potential", "sigma_alpha", "volume_density",
-        "christoffel", "fundamental_tensor", "yasuda_shimada_residual", "first-bad-entry",
+        "beta_covector", "potential", "christoffel", "fundamental_tensor", "yasuda_shimada_residual",
+        "first-bad-entry",
     ],
 )
 def test_non_finite_input_is_a_domain_error(call, message):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -495,8 +496,7 @@ def test_second_variation_tangential_probe_excluded(circle_half):
 
 
 def test_window_basis_matches_the_harmonic_loop(rng):
-    ts = np.linspace(0.0, TWO_PI, 257)
-    B, dB = variational._window_basis(ts)
+    ts, _, B, dB = variational._variation_basis()
     for _ in range(5):
         v = rng.standard_normal(N_COEFFS)
         coeffs = v.reshape(2, -1)
@@ -560,18 +560,31 @@ def test_projection_degenerate_direction(rng):
 
 
 def test_window_pins_the_endpoints():
-    B, dB = variational._window_basis(np.linspace(0.0, TWO_PI, 9))
-    assert B.shape == dB.shape == (2 * HARMONICS + 1, 9)
+    ts, w, B, dB = variational._variation_basis()
+    n = variational.VARIATION_PANELS
+    assert ts.shape == w.shape == (n + 1,)
+    assert B.shape == dB.shape == (2 * HARMONICS + 1, n + 1)
+    assert (ts[0], ts[-1]) == (0.0, TWO_PI)
     assert np.all(B[:, 0] == 0.0)
     assert np.allclose(B[:, -1], 0.0, atol=1e-12)
+    # closed trapezoid weights: half panels at both ends
+    assert w[0] == w[-1] == 0.5 * w[1] and np.sum(w) == pytest.approx(TWO_PI, rel=1e-14)
 
 
 def test_window_derivative_consistency():
-    ts = np.array([0.9])
-    _, dB = variational._window_basis(ts)
-    h = 1e-6
-    num = (variational._window_basis(ts + h)[0] - variational._window_basis(ts - h)[0]) / (2.0 * h)
-    assert np.allclose(num, dB, atol=1e-8)
+    # 4th-order differences of B along its own nodes; truncation ~ h^4 k^5 / 30 < 1e-6
+    ts, _, B, dB = variational._variation_basis()
+    h = ts[1] - ts[0]
+    num = (B[:, :-4] - 8.0 * B[:, 1:-3] + 8.0 * B[:, 3:-1] - B[:, 4:]) / (12.0 * h)
+    assert np.allclose(num, dB[:, 2:-2], rtol=0.0, atol=1e-6)
+
+
+def test_variation_basis_is_shared_and_read_only():
+    basis = variational._variation_basis()
+    assert variational._variation_basis() is basis
+    for array in basis:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3])
@@ -604,6 +617,15 @@ def test_certificate_fails_with_overridden_multiplier(cfg_bh):
     assert cert.weierstrass_max > 0.0  # the excess is odd in lambda
     assert any("overridden" in n for n in cert.notes)
     assert any("condition failed" in n for n in cert.notes)
+
+
+def test_certificate_zero_multiplier_fails_without_warnings(cfg_bh):
+    # h1 ~ 0 overflows the scan's propagator; that is a failed check, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = build_certificate(0.5, cfg_bh, lambda_override=0.0)
+    assert not cert.passed
+    assert "conjugate scan failed: conjugate scan produced non-finite determinants" in cert.notes
 
 
 def test_certificate_propagates_programming_errors(cfg_bh, monkeypatch):
