@@ -21,7 +21,7 @@ from .config import RandersConfig, VolumeForm
 from .curves import Circle
 from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid, area, length
-from .isoperimetry import PerturbationSpec, deficit_value, run_trials
+from .isoperimetry import PerturbationSpec, TrialBatch, deficit_value, run_trials
 from .metric import check_metric
 from .variational import CERT_TOL, build_certificate, conjugate_scan, determinant_curve, lambda_for_circle
 
@@ -98,12 +98,14 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
     )
     results = run_trials(cfg.a, rc, spec, QuadratureGrid(cfg.n))
     header = ["index", "a0_matched", "length", "area", "delta_area", "deficit", "ok"]
+    # read straight from the batch's columns, without building a TrialResult per trial
+    columns = [TrialBatch.FIELDS.index(name) for name in header[1:-1]]
     rows = [
-        [r.index, r.a0_matched, r.length, r.area, r.delta_area, r.deficit, int(r.ok)]
-        for r in results
+        [index, *numbers, int(ok)]
+        for index, (numbers, ok) in enumerate(zip(results.numbers[:, columns].tolist(), results.ok.tolist()))
     ]
     _emit(cfg, _csv_text(cfg, header, rows))
-    return 0 if all(r.ok for r in results) else 1
+    return 0 if results.ok.all() else 1
 
 
 def cmd_conjugate(cfg: argparse.Namespace) -> int:

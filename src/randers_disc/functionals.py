@@ -41,9 +41,9 @@ class FunctionalValue:
 
 
 def _periodic_integral(values: np.ndarray) -> tuple[float, float]:
-    """(integral, doubling error estimate) for one period of samples."""
-    full = values.mean() * TWO_PI
-    half = values[::2].mean() * TWO_PI
+    """(integral, doubling error estimate) for one period of samples on the last axis."""
+    full = values.mean(axis=-1) * TWO_PI
+    half = values[..., ::2].mean(axis=-1) * TWO_PI
     return full, abs(full - half)
 
 
@@ -58,8 +58,8 @@ def length_integrand(points: np.ndarray, velocities: np.ndarray, cfg: RandersCon
 
 def signed_area_integrand(points: np.ndarray, velocities: np.ndarray) -> np.ndarray:
     """Green-form area integrand 2 (x1 v2 - x2 v1) / (1 - r^2); odd in orientation."""
-    r2 = points[:, 0] ** 2 + points[:, 1] ** 2
-    cross = points[:, 0] * velocities[:, 1] - points[:, 1] * velocities[:, 0]
+    r2 = points[..., 0] ** 2 + points[..., 1] ** 2
+    cross = points[..., 0] * velocities[..., 1] - points[..., 1] * velocities[..., 0]
     return 2.0 * cross / (1.0 - r2)
 
 

@@ -7,7 +7,14 @@ The shift is found by Newton's method on the base radius with an analytic
 slope, safeguarded by a bisection bracket.  A strong maximum shows up as
 strictly negative area changes; harmonic-1 perturbations are near-neutral
 translation directions, so strictness is only required past -1e-12.
-Results come back as a TrialBatch, which stores them by column.
+
+run_trials works on small fixed blocks of trials: draws are checked for
+admissibility a block at a time, and one Newton matcher runs a block's rows
+side by side, each row with its own bracket and stops.  Every row gets the
+arithmetic it would get alone, so a trial does not depend on the block it
+falls in; match_length is the matcher's one-row case.  cos t, sin t and
+the harmonic basis are built once per grid per call.  Results come back as
+a TrialBatch, which stores them by column.
 """
 from __future__ import annotations
 
@@ -19,12 +26,16 @@ import numpy as np
 
 from .config import RandersConfig
 from .curves import (
+    _ADMISSIBLE_NODES,
     TWO_PI,
     Circle,
     PolarFourierCurve,
+    _admissible_rows,
+    _harmonic_basis,
     _polar_frame,
     _PolarCurve,
-    check_admissible,
+    _radius_rows,
+    require_admissible,
     require_radius,
 )
 from .errors import DomainError, VerificationError
@@ -42,6 +53,8 @@ MATCH_TOL = 1e-10         # required |length - target| after matching
 _NEWTON_TOL = 1e-3 * MATCH_TOL  # |length - target| at which Newton stops
 _MATCH_STEPS = 100        # iterate cap; bisection alone narrows [lo, hi] below MATCH_WIDTH in 44
 STRICT_DECREASE = -1e-12  # area must drop below this unless the curve is the circle
+_DRAW_ROWS = 2            # draws checked together on the admissibility grid
+_MATCH_ROWS = 4           # trials matched together on the quadrature nodes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,6 +91,41 @@ class TrialResult:
     note: str = ""
 
 
+def _draw(spec: PerturbationSpec, a: float, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(count, 2, K) cosine and sine coefficients drawn as generate_perturbations states.
+
+    Draws are checked _DRAW_ROWS at a time, each once, on basis (the
+    harmonic basis on the admissibility grid).  Each index rejects the
+    same draws in any order and every rejection is counted as it is seen,
+    so the budget runs out, with the same message, exactly when it would
+    drawing one index at a time.
+    """
+    ks = np.arange(1, spec.harmonics + 1)
+    budget = 100 * spec.count
+    rejected = 0
+    coeffs = np.empty((spec.count, 2, spec.harmonics))
+    for start in range(0, spec.count, _DRAW_ROWS):
+        stop = min(start + _DRAW_ROWS, spec.count)
+        streams = {i: np.random.default_rng([spec.seed, i]) for i in range(start, stop)}
+        while streams:
+            for i, rng in streams.items():
+                coeffs[i, 0] = rng.uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
+                coeffs[i, 1] = rng.uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
+            pending = list(streams)
+            drawn = coeffs[pending]
+            r, rd = _radius_rows(np.full(len(pending), a), drawn[:, 0], drawn[:, 1], basis)
+            for i, admissible in zip(pending, _admissible_rows(r, rd)):
+                if admissible:
+                    del streams[i]
+                    continue
+                rejected += 1
+                if rejected > budget:
+                    raise VerificationError(
+                        f"rejected {rejected} draws for {spec.count} curves; epsilon too large for a={a}"
+                    )
+    return coeffs
+
+
 def generate_perturbations(spec: PerturbationSpec, a: float) -> list[PolarFourierCurve]:
     """count admissible curves; coefficient k is uniform on [-eps, eps]/k.
 
@@ -86,25 +134,109 @@ def generate_perturbations(spec: PerturbationSpec, a: float) -> list[PolarFourie
     stream against a global budget of 100*count rejections.
     """
     require_radius(a)
-    ks = np.arange(1, spec.harmonics + 1)
-    budget = 100 * spec.count
-    rejected = 0
-    curves = []
-    for index in range(spec.count):
-        rng = np.random.default_rng([spec.seed, index])
-        while True:
-            cos_coeffs = rng.uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
-            sin_coeffs = rng.uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
-            candidate = PolarFourierCurve(a, tuple(cos_coeffs), tuple(sin_coeffs))
-            if check_admissible(candidate):
-                curves.append(candidate)
-                break
-            rejected += 1
-            if rejected > budget:
-                raise VerificationError(
-                    f"rejected {rejected} draws for {spec.count} curves; epsilon too large for a={a}"
-                )
-    return curves
+    coeffs = _draw(spec, a, _harmonic_basis(_ADMISSIBLE_NODES, spec.harmonics))
+    return [PolarFourierCurve(a, c.tolist(), s.tolist()) for c, s in coeffs]
+
+
+def _lengths(r: np.ndarray, rd: np.ndarray, ct: np.ndarray, st: np.ndarray, cfg: RandersConfig):
+    """Randers length of each row of radius samples."""
+    points, velocities = _polar_frame(r, rd, ct, st)
+    return _periodic_integral(length_integrand(points, velocities, cfg))[0]
+
+
+def _match_rows(
+    a0: np.ndarray,
+    coeffs: np.ndarray,
+    target_L: float,
+    cfg: RandersConfig,
+    basis: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, dict[int, VerificationError]]:
+    """Matched base radius of each row, and the error of each row that failed.
+
+    Row i is the curve with base radius a0[i] and coefficients coeffs[i]
+    (cosines, sines), admissible already; basis is the harmonic basis on the
+    quadrature nodes.  Rows run side by side but never mix: each keeps its
+    own bracket, bisection fallback, stops and step cap, as in match_length.
+    A row already within MATCH_TOL keeps its a0; a failed row's entry in the
+    returned radii is meaningless.
+    """
+    cos_c, sin_c = coeffs[:, 0], coeffs[:, 1]
+    ct, st = basis[0][0], basis[1][0]
+    entry = _lengths(*_radius_rows(a0, cos_c, sin_c, basis), ct, st, cfg)
+    margin = [float(sum(abs(c) for c in row[0]) + sum(abs(s) for s in row[1])) for row in coeffs.tolist()]
+    lo = np.array(margin) + 1e-6
+    hi = 1.0 - np.array(margin) - 1e-6
+    errors = {}
+    todo = []
+    for i, m in enumerate(margin):
+        # a row already at the target keeps its a0 (the circle is an exact fixed point)
+        if abs(entry[i] - target_L) <= MATCH_TOL:
+            continue
+        if lo[i] >= hi[i]:
+            errors[i] = VerificationError(f"no admissible base-radius interval for margin {m}")
+        else:
+            todo.append(i)
+    matched = a0.copy()
+    if not todo:
+        return matched, errors
+
+    # r = a0 + p with p independent of a0, so p and p' are sampled once; within
+    # the bracket the radius stays inside [a0 - margin, a0 + margin], so
+    # admissibility holds by construction and the per-step check is skipped
+    p, pd = _radius_rows(np.zeros(len(todo)), cos_c[todo], sin_c[todo], basis)
+    lo, hi = lo[todo], hi[todo]
+
+    def excess(x: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L(x) - target_L and dL/da0 for the rows live of p.
+
+        The drift one-form is exact, so its part of L does not depend on a0
+        and the slope is the derivative of the alpha part alone:
+        d/da0 of 2|v|/(1 - r^2) with |v| = sqrt(r^2 + p'^2).
+        """
+        r = x[:, None] + p[live]
+        q = pd[live]
+        speed = np.hypot(r, q)
+        s = 1.0 - r * r
+        slope = TWO_PI * np.mean(2.0 * r / (speed * s) + 4.0 * r * speed / (s * s), axis=-1)
+        return _lengths(r, q, ct, st, cfg) - target_L, slope
+
+    f_lo = _lengths(lo[:, None] + p, pd, ct, st, cfg) - target_L
+    f_hi = _lengths(hi[:, None] + p, pd, ct, st, cfg) - target_L
+    bracketed = f_lo * f_hi <= 0.0
+    # tested negated so that a NaN excess (a NaN target) fails the bracket too
+    for j in np.flatnonzero(~bracketed):
+        errors[todo[j]] = VerificationError(
+            f"target length {target_L} not bracketed on [{float(lo[j])}, {float(hi[j])}] "
+            f"(excess {f_lo[j]:.3e} and {f_hi[j]:.3e})"
+        )
+    start = a0[todo]
+    x = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
+    f = np.full(len(todo), math.nan)
+    live = np.flatnonzero(bracketed)
+    for _ in range(_MATCH_STEPS):
+        if not len(live):
+            break
+        x_l, lo_l, hi_l, f_lo_l = x[live], lo[live], hi[live], f_lo[live]
+        f_l, slope = excess(x_l, live)
+        f[live] = f_l
+        near = np.abs(f_l) <= _NEWTON_TOL
+        below = f_lo_l * f_l <= 0.0  # the root lies below x, which becomes hi
+        hi_l = np.where(~near & below, x_l, hi_l)
+        lo_l = np.where(~near & ~below, x_l, lo_l)
+        f_lo[live] = np.where(~near & ~below, f_l, f_lo_l)
+        done = near | (hi_l - lo_l < MATCH_WIDTH)
+        step = x_l - f_l / slope
+        inside = (lo_l < step) & (step < hi_l)
+        x[live] = np.where(done, x_l, np.where(inside, step, 0.5 * (lo_l + hi_l)))
+        lo[live], hi[live] = lo_l, hi_l
+        live = live[~done]
+    for j, i in enumerate(todo):
+        if i in errors:
+            continue
+        if not abs(f[j]) <= MATCH_TOL:
+            errors[i] = VerificationError(f"length matching stalled at |dL| = {abs(f[j]):.3e}")
+        matched[i] = x[j]
+    return matched, errors
 
 
 def match_length(
@@ -118,62 +250,17 @@ def match_length(
     Monotonicity in a0 is not assumed: the bracket endpoints must straddle
     the target or a VerificationError is raised.  Each iterate tightens the
     bracket, and a Newton step that would leave it is replaced by bisection.
-    A curve already at the target is returned unchanged (the circle is an
-    exact fixed point).
+    A curve already at the target comes back with its a0 unchanged (the
+    circle is an exact fixed point).  The one-row case of _match_rows, after
+    the admissibility check that run_trials leaves to its draw.
     """
-    if abs(length(curve, cfg, grid).value - target_L) <= MATCH_TOL:
-        return curve
-    margin = float(sum(abs(c) for c in curve.cos_coeffs) + sum(abs(s) for s in curve.sin_coeffs))
-    lo = margin + 1e-6
-    hi = 1.0 - margin - 1e-6
-    if lo >= hi:
-        raise VerificationError(f"no admissible base-radius interval for margin {margin}")
-
-    # r = a0 + p with p independent of a0, so p and p' are sampled once; within
-    # the bracket the radius stays inside [a0 - margin, a0 + margin], so
-    # admissibility holds by construction and the per-step check is skipped
-    ts = grid.nodes
-    p, pd = curve.with_base_radius(0.0).radius_batch(ts)
-    ct, st = np.cos(ts), np.sin(ts)
-
-    def excess(a0: float) -> tuple[float, float]:
-        """L(a0) - target_L and dL/da0.
-
-        The drift one-form is exact, so its part of L does not depend on a0
-        and the slope is the derivative of the alpha part alone:
-        d/da0 of 2|v|/(1 - r^2) with |v| = sqrt(r^2 + p'^2).
-        """
-        r = a0 + p
-        points, velocities = _polar_frame(r, pd, ct, st)
-        value = _periodic_integral(length_integrand(points, velocities, cfg))[0]
-        speed = np.hypot(r, pd)
-        s = 1.0 - r * r
-        slope = TWO_PI * np.mean(2.0 * r / (speed * s) + 4.0 * r * speed / (s * s))
-        return value - target_L, slope
-
-    f_lo, f_hi = excess(lo)[0], excess(hi)[0]
-    # negated so that a NaN excess (a NaN target) fails the bracket too
-    if not f_lo * f_hi <= 0.0:
-        raise VerificationError(
-            f"target length {target_L} not bracketed on [{lo}, {hi}] "
-            f"(excess {f_lo:.3e} and {f_hi:.3e})"
-        )
-    a0 = curve.a0 if lo < curve.a0 < hi else 0.5 * (lo + hi)
-    for _ in range(_MATCH_STEPS):
-        f, slope = excess(a0)
-        if abs(f) <= _NEWTON_TOL:
-            break
-        if f_lo * f <= 0.0:
-            hi = a0
-        else:
-            lo, f_lo = a0, f
-        if hi - lo < MATCH_WIDTH:
-            break
-        step = a0 - f / slope
-        a0 = step if lo < step < hi else 0.5 * (lo + hi)
-    if not abs(f) <= MATCH_TOL:
-        raise VerificationError(f"length matching stalled at |dL| = {abs(f):.3e}")
-    return curve.with_base_radius(a0)
+    require_admissible(curve)
+    coeffs = np.array([[curve.cos_coeffs, curve.sin_coeffs]])
+    basis = _harmonic_basis(grid.nodes, curve.harmonics)
+    a0, errors = _match_rows(np.array([curve.a0]), coeffs, target_L, cfg, basis)
+    if errors:
+        raise errors[0]
+    return curve.with_base_radius(a0[0])
 
 
 def deficit_value(length_value: float, area_value: float, cfg: RandersConfig) -> float:
@@ -189,10 +276,6 @@ def isoperimetric_deficit(
 ) -> float:
     """Hyperbolic isoperimetric deficit: nonnegative, zero exactly on circles."""
     return deficit_value(length(curve, cfg, grid).value, area(curve, cfg, grid).value, cfg)
-
-
-def _is_unperturbed(curve: PolarFourierCurve) -> bool:
-    return all(c == 0.0 for c in curve.cos_coeffs) and all(s == 0.0 for s in curve.sin_coeffs)
 
 
 class TrialBatch(Sequence):
@@ -241,23 +324,31 @@ def run_trials(
     circle = Circle(a)
     target_L = length(circle, cfg, grid).value
     circle_A = area(circle, cfg, grid).value
-    curves = generate_perturbations(spec, a)
+    coeffs = _draw(spec, a, _harmonic_basis(_ADMISSIBLE_NODES, spec.harmonics))
+    basis = _harmonic_basis(grid.nodes, spec.harmonics)
+    ct, st = basis[0][0], basis[1][0]
     numbers = np.full((spec.count, len(TrialBatch.FIELDS)), math.nan)
     ok = np.zeros(spec.count, dtype=bool)
-    coeffs = np.array([(c.cos_coeffs, c.sin_coeffs) for c in curves])
     notes = {}
-    for index, curve in enumerate(curves):
-        try:
-            matched = match_length(curve, target_L, cfg, grid)
-        except VerificationError as exc:
-            notes[index] = str(exc)
+    for start in range(0, spec.count, _MATCH_ROWS):
+        block = coeffs[start:start + _MATCH_ROWS]
+        a0, errors = _match_rows(np.full(len(block), a), block, target_L, cfg, basis)
+        for row, exc in errors.items():
+            notes[start + row] = str(exc)
+        good = [row for row in range(len(block)) if row not in errors]
+        if not good:
             continue
-        # matched is admissible (checked, or inside the matching bracket), so
-        # length and area share one evaluation without a further check
-        points, velocities = matched.batch(grid.nodes)
+        # the drawn curves were checked once and the matched ones stay inside
+        # the matching bracket, so length and area share one evaluation
+        # without a further check
+        a0 = a0[good]
+        r, rd = _radius_rows(a0, block[good, 0], block[good, 1], basis)
+        points, velocities = _polar_frame(r, rd, ct, st)
         L = _periodic_integral(length_integrand(points, velocities, cfg))[0]
         A = cfg.kappa * _periodic_integral(signed_area_integrand(points, velocities))[0]
         delta = A - circle_A
-        numbers[index] = (matched.a0, L, A, abs(L - target_L), delta, deficit_value(L, A, cfg))
-        ok[index] = delta < STRICT_DECREASE or _is_unperturbed(matched)
+        index = [start + row for row in good]
+        numbers[index] = np.stack(
+            [a0, L, A, np.abs(L - target_L), delta, deficit_value(L, A, cfg)], axis=-1)
+        ok[index] = (delta < STRICT_DECREASE) | np.all(block[good] == 0.0, axis=(1, 2))
     return TrialBatch(a, numbers, ok, coeffs, notes)

@@ -16,7 +16,14 @@ from randers_disc import (
     lambda_for_circle,
     require_admissible,
 )
-from randers_disc.curves import TWO_PI
+from randers_disc.curves import (
+    _ADMISSIBLE_NODES,
+    TWO_PI,
+    _admissible_rows,
+    _harmonic_basis,
+    _polar_frame,
+    _radius_rows,
+)
 from randers_disc import fd
 from tests.conftest import rotated
 
@@ -111,6 +118,41 @@ def test_radius_batch_matches_the_direct_harmonic_sum(rng):
     assert r.shape == rd.shape == ts.shape
     assert np.max(np.abs(r - r_direct)) <= 1e-14
     assert np.max(np.abs(rd - rd_direct)) <= 1e-13
+
+
+def test_radius_rows_equal_one_curve_at_a_time_bitwise(rng):
+    # rows of one kernel call never mix: each equals its curve evaluated alone
+    a0 = rng.uniform(0.3, 0.7, 5)
+    cos_c, sin_c = rng.uniform(-0.02, 0.02, (2, 5, 4))
+    ts = rng.uniform(0.0, 20.0, (3, 11))
+    r, rd = _radius_rows(a0, cos_c, sin_c, _harmonic_basis(ts, 4))
+    assert r.shape == rd.shape == (5, 3, 11)
+    for i in range(5):
+        r_i, rd_i = PolarFourierCurve(a0[i], cos_c[i], sin_c[i]).radius_batch(ts)
+        assert np.array_equal(r[i], r_i) and np.array_equal(rd[i], rd_i)
+
+
+def test_fourier_batch_reuses_the_kernel_cos_and_sin_bitwise(rng):
+    curve = PolarFourierCurve(0.5, (0.02, -0.01, 0.005), (0.01, 0.0, -0.004))
+    ts = rng.uniform(0.0, 20.0, 33)
+    r, rd = curve.radius_batch(ts)
+    expected = _polar_frame(r, rd, np.cos(ts), np.sin(ts))
+    for got, want in zip(curve.batch(ts), expected):
+        assert np.array_equal(got, want)
+
+
+def test_admissible_rows_agree_with_check_admissible():
+    curves = [
+        PolarFourierCurve(0.5, (0.05, 0.01), (0.0, 0.0)),
+        PolarFourierCurve(0.5, (0.6, 0.0), (0.0, 0.0)),   # dips to the origin
+        PolarFourierCurve(0.95, (0.1, 0.0), (0.0, 0.0)),  # leaves the disc
+        PolarFourierCurve(0.3, (0.0, 0.02), (0.01, 0.0)),
+    ]
+    a0 = np.array([c.a0 for c in curves])
+    cos_c = np.array([c.cos_coeffs for c in curves])
+    sin_c = np.array([c.sin_coeffs for c in curves])
+    rows = _admissible_rows(*_radius_rows(a0, cos_c, sin_c, _harmonic_basis(_ADMISSIBLE_NODES, 2)))
+    assert rows.tolist() == [check_admissible(c) for c in curves] == [True, False, False, True]
 
 
 def test_unequal_coefficient_lists_rejected():

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,9 @@ from randers_disc import (
     run_trials,
 )
 from randers_disc import isoperimetry
-from randers_disc.isoperimetry import MATCH_TOL, TrialBatch
+from randers_disc.curves import TWO_PI, _harmonic_basis, _polar_frame
+from randers_disc.functionals import length_integrand, signed_area_integrand
+from randers_disc.isoperimetry import _MATCH_STEPS, _NEWTON_TOL, MATCH_TOL, MATCH_WIDTH, TrialBatch
 from tests.conftest import GRID_A, GRID_B, rotated
 
 
@@ -59,10 +62,18 @@ def test_generation_zero_epsilon_gives_circles():
         assert all(v == 0.0 for v in c.cos_coeffs + c.sin_coeffs)
 
 
-def test_generation_exhaustion(monkeypatch):
-    monkeypatch.setattr(isoperimetry, "check_admissible", lambda curve: False)
-    with pytest.raises(VerificationError, match="epsilon too large"):
-        generate_perturbations(PerturbationSpec(count=3), 0.5)
+def test_generation_exhaustion():
+    # at a = 0.99 a perturbation of size 0.05 leaves the disc on every draw,
+    # so the global budget of 100 * count rejections runs out
+    spec = PerturbationSpec(count=3)
+    message = "rejected 301 draws for 3 curves; epsilon too large for a=0.99"
+    with pytest.raises(VerificationError, match="epsilon too large") as caught:
+        generate_perturbations(spec, 0.99)
+    assert str(caught.value) == message
+    for run in (lambda: run_trials(0.99, RandersConfig(0.0), spec), lambda: reference_draws(spec, 0.99)):
+        with pytest.raises(VerificationError) as caught:
+            run()
+        assert str(caught.value) == message
 
 
 def test_generation_independent_of_count_prefix():
@@ -185,10 +196,10 @@ def test_run_trials_rotation_invariance(cfg_bh):
 
 
 def test_run_trials_records_failures(cfg_bh, monkeypatch):
-    def boom(curve, target, cfg, grid=None):
-        raise VerificationError("no admissible bracket")
+    def boom(a0, coeffs, target_L, cfg, basis):
+        return a0, {row: VerificationError("no admissible bracket") for row in range(len(a0))}
 
-    monkeypatch.setattr(isoperimetry, "match_length", boom)
+    monkeypatch.setattr(isoperimetry, "_match_rows", boom)
     spec = PerturbationSpec(count=2)
     results = run_trials(0.5, cfg_bh, spec)
     for r, drawn in zip(results, generate_perturbations(spec, 0.5)):
@@ -235,6 +246,199 @@ def test_trial_batch_keeps_under_200_bytes_per_trial(cfg_bh):
         tracemalloc.stop()
     assert len(batch) == 200
     assert kept <= 200 * len(batch)
+
+
+@pytest.mark.slow
+def test_trial_working_set_does_not_grow_with_count(cfg_bh):
+    # trials are drawn and matched in blocks of a few rows, so no array spans
+    # every trial and every node; only the output columns grow with count
+    def peak(count):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_trials(0.5, cfg_bh, PerturbationSpec(seed=5, count=count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_trials(0.5, cfg_bh, PerturbationSpec(count=1))  # first-call allocations
+    columns = 8 * len(TrialBatch.FIELDS) + 1 + 8 * 2 * PerturbationSpec.harmonics  # numbers, ok, coeffs
+    assert peak(800) - peak(200) <= 600 * columns + 64 * 1024
+
+
+# -- the per-trial reference --------------------------------------------------
+#    One trial at a time: the radius by its own angle-addition loop, each draw
+#    checked on its own, and a Newton iteration per trial.  run_trials, which
+#    draws and matches in blocks, must agree with it bitwise.
+
+def reference_radius(a0, cos_c, sin_c, ts):
+    c1, s1 = np.cos(ts), np.sin(ts)
+    c, s = c1, s1
+    r = np.full(ts.shape, a0)
+    rd = np.zeros(ts.shape)
+    for k in range(len(cos_c)):
+        if k:
+            c, s = c * c1 - s * s1, s * c1 + c * s1
+        r += cos_c[k] * c + sin_c[k] * s
+        rd += (k + 1) * (sin_c[k] * c - cos_c[k] * s)
+    return r, rd
+
+
+def reference_draws(spec, a):
+    ts = TWO_PI * np.arange(4096) / 4096
+    ks = np.arange(1, spec.harmonics + 1)
+    rejected, draws = 0, []
+    for index in range(spec.count):
+        rng = np.random.default_rng([spec.seed, index])
+        while True:
+            c = rng.uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
+            s = rng.uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
+            r, rd = reference_radius(a, c, s, ts)
+            m = 1e-9
+            if np.all(r > m) and np.all(r < 1.0 - m) and np.all(r * r + rd * rd > m * m):
+                draws.append((c, s))
+                break
+            rejected += 1
+            if rejected > 100 * spec.count:
+                raise VerificationError(
+                    f"rejected {rejected} draws for {spec.count} curves; epsilon too large for a={a}"
+                )
+    return draws
+
+
+def reference_length(r, rd, ts, cfg):
+    points, velocities = _polar_frame(r, rd, np.cos(ts), np.sin(ts))
+    return length_integrand(points, velocities, cfg).mean() * TWO_PI
+
+
+def reference_match(a0, c, s, target, cfg, ts):
+    if abs(reference_length(*reference_radius(a0, c, s, ts), ts, cfg) - target) <= MATCH_TOL:
+        return a0
+    margin = float(sum(abs(x) for x in c) + sum(abs(x) for x in s))
+    lo, hi = margin + 1e-6, 1.0 - margin - 1e-6
+    if lo >= hi:
+        raise VerificationError(f"no admissible base-radius interval for margin {margin}")
+    p, pd = reference_radius(0.0, c, s, ts)
+
+    def excess(x):
+        r = x + p
+        speed = np.hypot(r, pd)
+        w = 1.0 - r * r
+        slope = TWO_PI * np.mean(2.0 * r / (speed * w) + 4.0 * r * speed / (w * w))
+        return reference_length(r, pd, ts, cfg) - target, slope
+
+    f_lo, f_hi = excess(lo)[0], excess(hi)[0]
+    if not f_lo * f_hi <= 0.0:
+        raise VerificationError(
+            f"target length {target} not bracketed on [{lo}, {hi}] "
+            f"(excess {f_lo:.3e} and {f_hi:.3e})"
+        )
+    x = a0 if lo < a0 < hi else 0.5 * (lo + hi)
+    for _ in range(_MATCH_STEPS):
+        f, slope = excess(x)
+        if abs(f) <= _NEWTON_TOL:
+            break
+        if f_lo * f <= 0.0:
+            hi = x
+        else:
+            lo, f_lo = x, f
+        if hi - lo < MATCH_WIDTH:
+            break
+        step = x - f / slope
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    if not abs(f) <= MATCH_TOL:
+        raise VerificationError(f"length matching stalled at |dL| = {abs(f):.3e}")
+    return x
+
+
+def reference_trials(a, cfg, spec, n=1024):
+    """(numbers, ok, notes) as run_trials stores them, one trial at a time."""
+    ts = TWO_PI * np.arange(n) / n
+    target = length(Circle(a), cfg).value
+    circle_A = isoperimetry.area(Circle(a), cfg).value
+    numbers = np.full((spec.count, len(TrialBatch.FIELDS)), math.nan)
+    ok = np.zeros(spec.count, dtype=bool)
+    notes = {}
+    for index, (c, s) in enumerate(reference_draws(spec, a)):
+        try:
+            a0 = reference_match(a, c, s, target, cfg, ts)
+        except VerificationError as exc:
+            notes[index] = str(exc)
+            continue
+        r, rd = reference_radius(a0, c, s, ts)
+        points, velocities = _polar_frame(r, rd, np.cos(ts), np.sin(ts))
+        L = length_integrand(points, velocities, cfg).mean() * TWO_PI
+        A = cfg.kappa * (signed_area_integrand(points, velocities).mean() * TWO_PI)
+        delta = A - circle_A
+        numbers[index] = (a0, L, A, abs(L - target), delta, isoperimetry.deficit_value(L, A, cfg))
+        ok[index] = delta < isoperimetry.STRICT_DECREASE or not (np.any(c) or np.any(s))
+    return numbers, ok, notes
+
+
+# 13 trials leave a ragged last block whatever the block sizes.  At a = 0.95
+# no trial is bracketed; (0.99, 0.002) mixes matched rows with rows that
+# stall, (0.5, 0.3) with rows that have no base-radius interval; (0.5, 0) is
+# the circle
+REFERENCE_CASES = [
+    (a, b, form, seed, 0.05, 13)
+    for a in (0.2, 0.5, 0.8, 0.95)
+    for b, form in ((0.0, "ht"), (0.3, "bh"), (0.7, "min"))
+    for seed in (1, 42)
+] + [(0.99, 0.0, "bh", 42, 0.002, 20), (0.5, 0.3, "bh", 3, 0.3, 13), (0.5, 0.3, "bh", 1, 0.0, 5)]
+
+
+@pytest.mark.parametrize("a, b, form, seed, epsilon, count", REFERENCE_CASES)
+def test_run_trials_equals_the_per_trial_reference_bitwise(a, b, form, seed, epsilon, count):
+    cfg = RandersConfig(b, form)
+    spec = PerturbationSpec(seed=seed, epsilon=epsilon, count=count)
+    numbers, ok, notes = reference_trials(a, cfg, spec)
+    got = run_trials(a, cfg, spec)
+    assert got.numbers.tobytes() == numbers.tobytes()
+    assert got.ok.tolist() == ok.tolist()
+    assert got.notes == notes
+    drawn = np.array([(c, s) for c, s in reference_draws(spec, a)])
+    assert got.coeffs.tobytes() == drawn.tobytes()
+
+
+@pytest.mark.parametrize("a, epsilon", [(0.5, 0.05), (0.95, 0.05), (0.99, 0.002)])
+def test_match_length_equals_the_per_trial_reference_bitwise(a, epsilon, cfg_bh):
+    # match_length is the block matcher's one-row case: matched, not bracketed, stalled
+    target = length(Circle(a), cfg_bh).value
+    ts = TWO_PI * np.arange(1024) / 1024
+    for curve in generate_perturbations(PerturbationSpec(seed=3, epsilon=epsilon, count=6), a):
+        c, s = np.array(curve.cos_coeffs), np.array(curve.sin_coeffs)
+        try:
+            want = reference_match(a, c, s, target, cfg_bh, ts)
+        except VerificationError as exc:
+            with pytest.raises(VerificationError, match=re.escape(str(exc))):
+                match_length(curve, target, cfg_bh)
+        else:
+            assert match_length(curve, target, cfg_bh).a0 == want
+
+
+def test_match_rows_keep_their_own_iterations(cfg_bh):
+    # rows of one call that need different numbers of steps, or fail, each
+    # come out as they would alone
+    curves = [
+        PolarFourierCurve(0.05, (0.01,), (0.0,)),     # first Newton step leaves the bracket
+        PolarFourierCurve(0.9, (0.01,), (0.0,)),      # starts near the root
+        PolarFourierCurve(0.5, (0.3,), (0.0,)),       # a large wiggle matches far below 0.98
+        PolarFourierCurve(0.3, (0.02,), (-0.01,)),    # its bracket stops short of the target
+        PolarFourierCurve(0.97, (0.005,), (0.001,)),  # stalls near the rim
+    ]
+    target = length(curves[0].with_base_radius(0.98), cfg_bh).value
+    ts = TWO_PI * np.arange(1024) / 1024
+    a0, errors = isoperimetry._match_rows(
+        np.array([c.a0 for c in curves]), np.array([[c.cos_coeffs, c.sin_coeffs] for c in curves]),
+        target, cfg_bh, _harmonic_basis(ts, 1))
+    for i, c in enumerate(curves):
+        try:
+            want = reference_match(c.a0, np.array(c.cos_coeffs), np.array(c.sin_coeffs), target, cfg_bh, ts)
+        except VerificationError as exc:
+            assert str(errors[i]) == str(exc)
+        else:
+            assert i not in errors and a0[i] == want
+    assert sorted(errors) == [3, 4]
 
 
 # -- deficit ------------------------------------------------------------------
