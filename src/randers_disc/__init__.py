@@ -6,14 +6,7 @@ from .config import RandersConfig, VolumeForm
 from .curves import Circle, PolarFourierCurve, check_admissible, require_admissible
 from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid, area, circle_closed_forms, length
-from .isoperimetry import (
-    PerturbationSpec,
-    deficit_value,
-    generate_perturbations,
-    isoperimetric_deficit,
-    match_length,
-    run_trials,
-)
+from .isoperimetry import PerturbationSpec, deficit_value, run_trials
 from .metric import (
     beta_covector,
     christoffel,
@@ -66,16 +59,13 @@ __all__ = [
     "el_residual",
     "finsler_norm",
     "fundamental_tensor",
-    "generate_perturbations",
     "h1_along",
     "hessian_blocks",
     "hessian_velocity_closed",
     "hessian_velocity_form",
-    "isoperimetric_deficit",
     "jacobi_coeffs",
     "lambda_for_circle",
     "length",
-    "match_length",
     "normality",
     "potential",
     "require_admissible",

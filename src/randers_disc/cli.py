@@ -38,6 +38,8 @@ def _check(cfg: argparse.Namespace) -> None:
     # checked before any computation, so a long run cannot end in a failed write
     if cfg.output and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.output))):
         raise DomainError(f"--output directory does not exist: {cfg.output}")
+    if cfg.output and os.path.isdir(cfg.output):
+        raise DomainError(f"--output is a directory, not a file: {cfg.output}")
 
 
 def _echo(cfg: argparse.Namespace) -> dict:

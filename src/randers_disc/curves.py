@@ -5,8 +5,9 @@ carry exact analytic velocities, which keeps the quadrature of the length
 and area functionals spectrally accurate.  The parameter period is 2*pi.
 Curves evaluate only through batch, on parameters of any shape (not
 reduced modulo 2*pi), with positions and velocities on a trailing axis.
-Polar Fourier radii come from one harmonic kernel that evaluates rows of
-coefficients at once; a single curve is its one-row case.
+There is one curve class: radii come from one harmonic kernel that
+evaluates rows of coefficients at once, a single curve is its one-row case,
+and a Circle is the Fourier curve with no harmonics.
 """
 from __future__ import annotations
 
@@ -28,21 +29,6 @@ _ADMISSIBLE_NODES.setflags(write=False)
 def require_radius(a: float) -> None:
     if not 0.0 < a < 1.0:
         raise DomainError(f"circle radius must lie in (0, 1), got {a}")
-
-
-class _PolarCurve:
-    """Shared evaluation path; subclasses provide r(t) and r'(t) on arrays of t."""
-
-    def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def _polar_parts(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-        """r, r', cos t and sin t; overridden where r is built from cos t and sin t."""
-        return (*self.radius_batch(ts), np.cos(ts), np.sin(ts))
-
-    def batch(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and velocities at parameters of any shape, shape ts.shape + (2,) each."""
-        return _polar_frame(*self._polar_parts(np.asarray(ts, dtype=float)))
 
 
 def _polar_frame(r, rd, ct, st) -> tuple[np.ndarray, np.ndarray]:
@@ -90,21 +76,7 @@ def _radius_rows(a0: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray,
 
 
 @dataclasses.dataclass(frozen=True)
-class Circle(_PolarCurve):
-    """Origin-centered circle of Euclidean radius a, 0 < a < 1."""
-
-    a: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        require_radius(self.a)
-
-    def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.full(ts.shape, self.a), np.zeros(ts.shape)
-
-
-@dataclasses.dataclass(frozen=True)
-class PolarFourierCurve(_PolarCurve):
+class PolarFourierCurve:
     """r(t) = a0 + sum_k (c_k cos kt + s_k sin kt), k = 1..K.
 
     Construction only fixes the coefficient data; whether the curve stays
@@ -130,19 +102,38 @@ class PolarFourierCurve(_PolarCurve):
     def harmonics(self) -> int:
         return len(self.cos_coeffs)
 
-    def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r, rd, _, _ = self._polar_parts(ts)
-        return r, rd
-
-    def _polar_parts(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-        # cos t and sin t come back from the basis the radius is built on
-        cos_k, sin_k = basis = _harmonic_basis(ts, self.harmonics)
+    def _radius_on(self, basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """r and r' on the grid of a harmonic basis: the kernel's one-row case."""
         r, rd = _radius_rows(np.array([self.a0]), np.array([self.cos_coeffs]),
                              np.array([self.sin_coeffs]), basis)
-        return r[0, ...], rd[0, ...], cos_k[0, ...], sin_k[0, ...]
+        return r[0, ...], rd[0, ...]
+
+    def radius_batch(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._radius_on(_harmonic_basis(ts, self.harmonics))
+
+    def batch(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and velocities at parameters of any shape, shape ts.shape + (2,) each."""
+        # cos t and sin t come back from the basis the radius is built on
+        cos_k, sin_k = basis = _harmonic_basis(np.asarray(ts, dtype=float), self.harmonics)
+        return _polar_frame(*self._radius_on(basis), cos_k[0, ...], sin_k[0, ...])
 
     def with_base_radius(self, a0: float) -> "PolarFourierCurve":
         return PolarFourierCurve(a0, self.cos_coeffs, self.sin_coeffs)
+
+
+class Circle(PolarFourierCurve):
+    """Origin-centered circle of Euclidean radius a, 0 < a < 1: no harmonics."""
+
+    def __init__(self, a: float):
+        super().__init__(a)
+        require_radius(self.a0)
+
+    @property
+    def a(self) -> float:
+        return self.a0
+
+    def __repr__(self) -> str:
+        return f"Circle(a={self.a!r})"
 
 
 def _admissible_rows(r: np.ndarray, rd: np.ndarray) -> np.ndarray:
@@ -152,11 +143,11 @@ def _admissible_rows(r: np.ndarray, rd: np.ndarray) -> np.ndarray:
     return inside & np.all(r * r + rd * rd > margin * margin, axis=-1)
 
 
-def check_admissible(curve: _PolarCurve) -> bool:
+def check_admissible(curve: PolarFourierCurve) -> bool:
     """True iff r(t) in (margin, 1 - margin) and |velocity| > margin on the grid."""
     return bool(_admissible_rows(*curve.radius_batch(_ADMISSIBLE_NODES)))
 
 
-def require_admissible(curve: _PolarCurve) -> None:
+def require_admissible(curve: PolarFourierCurve) -> None:
     if not check_admissible(curve):
         raise VerificationError(f"curve {curve!r} leaves the admissible polar-graph class")

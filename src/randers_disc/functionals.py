@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .config import RandersConfig
-from .curves import TWO_PI, _PolarCurve, require_admissible, require_radius
+from .curves import TWO_PI, PolarFourierCurve, require_admissible, require_radius
 from .errors import DomainError
 from .metric import _randers_norm
 
@@ -63,7 +63,7 @@ def signed_area_integrand(points: np.ndarray, velocities: np.ndarray) -> np.ndar
     return 2.0 * cross / (1.0 - r2)
 
 
-def length(curve: _PolarCurve, cfg: RandersConfig, grid: QuadratureGrid = QuadratureGrid()) -> FunctionalValue:
+def length(curve: PolarFourierCurve, cfg: RandersConfig, grid: QuadratureGrid = QuadratureGrid()) -> FunctionalValue:
     """Randers length over one period.
 
     The drift one-form is exact, so for closed curves its contribution
@@ -76,7 +76,7 @@ def length(curve: _PolarCurve, cfg: RandersConfig, grid: QuadratureGrid = Quadra
     return FunctionalValue(value, est)
 
 
-def area(curve: _PolarCurve, cfg: RandersConfig, grid: QuadratureGrid = QuadratureGrid()) -> FunctionalValue:
+def area(curve: PolarFourierCurve, cfg: RandersConfig, grid: QuadratureGrid = QuadratureGrid()) -> FunctionalValue:
     """Enclosed area under cfg.form: kappa(form, b) times the shared Green integral."""
     require_admissible(curve)
     points, velocities = curve.batch(grid.nodes)

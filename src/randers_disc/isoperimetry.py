@@ -12,9 +12,10 @@ run_trials works on small fixed blocks of trials: draws are checked for
 admissibility a block at a time, and one Newton matcher runs a block's rows
 side by side, each row with its own bracket and stops.  Every row gets the
 arithmetic it would get alone, so a trial does not depend on the block it
-falls in; match_length is the matcher's one-row case.  cos t, sin t and
-the harmonic basis are built once per grid per call.  Results come back as
-a TrialBatch, which stores them by column.
+falls in.  The circle is the row with no harmonics, measured by the same
+kernel and integrals as its trials.  cos t, sin t and the harmonic basis
+are built once per grid per call.  Results come back as a TrialBatch,
+which stores them by column.
 """
 from __future__ import annotations
 
@@ -28,25 +29,15 @@ from .config import RandersConfig
 from .curves import (
     _ADMISSIBLE_NODES,
     TWO_PI,
-    Circle,
     PolarFourierCurve,
     _admissible_rows,
     _harmonic_basis,
     _polar_frame,
-    _PolarCurve,
     _radius_rows,
-    require_admissible,
     require_radius,
 )
 from .errors import DomainError, VerificationError
-from .functionals import (
-    QuadratureGrid,
-    _periodic_integral,
-    area,
-    length,
-    length_integrand,
-    signed_area_integrand,
-)
+from .functionals import QuadratureGrid, _periodic_integral, length_integrand, signed_area_integrand
 
 MATCH_WIDTH = 1e-13       # bracket width on a0 at which matching stops
 MATCH_TOL = 1e-10         # required |length - target| after matching
@@ -92,13 +83,16 @@ class TrialResult:
 
 
 def _draw(spec: PerturbationSpec, a: float, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(count, 2, K) cosine and sine coefficients drawn as generate_perturbations states.
+    """(count, 2, K) cosine and sine coefficients of admissible perturbations of the circle a.
 
-    Draws are checked _DRAW_ROWS at a time, each once, on basis (the
-    harmonic basis on the admissibility grid).  Each index rejects the
-    same draws in any order and every rejection is counted as it is seen,
-    so the budget runs out, with the same message, exactly when it would
-    drawing one index at a time.
+    Coefficient k is uniform on [-eps, eps]/k.  Each index owns the stream
+    seeded by (seed, index), so trial i is reproducible in isolation;
+    inadmissible draws are redrawn from the same stream against a global
+    budget of 100*count rejections.  Draws are checked _DRAW_ROWS at a
+    time, each once, on basis (the harmonic basis on the admissibility
+    grid).  Each index rejects the same draws in any order and every
+    rejection is counted as it is seen, so the budget runs out, with the
+    same message, exactly when it would drawing one index at a time.
     """
     ks = np.arange(1, spec.harmonics + 1)
     budget = 100 * spec.count
@@ -126,22 +120,9 @@ def _draw(spec: PerturbationSpec, a: float, basis: tuple[np.ndarray, np.ndarray]
     return coeffs
 
 
-def generate_perturbations(spec: PerturbationSpec, a: float) -> list[PolarFourierCurve]:
-    """count admissible curves; coefficient k is uniform on [-eps, eps]/k.
-
-    Each index owns the stream seeded by (seed, index), so trial i is
-    reproducible in isolation; inadmissible draws are redrawn from the same
-    stream against a global budget of 100*count rejections.
-    """
-    require_radius(a)
-    coeffs = _draw(spec, a, _harmonic_basis(_ADMISSIBLE_NODES, spec.harmonics))
-    return [PolarFourierCurve(a, c.tolist(), s.tolist()) for c, s in coeffs]
-
-
-def _lengths(r: np.ndarray, rd: np.ndarray, ct: np.ndarray, st: np.ndarray, cfg: RandersConfig):
-    """Randers length of each row of radius samples."""
-    points, velocities = _polar_frame(r, rd, ct, st)
-    return _periodic_integral(length_integrand(points, velocities, cfg))[0]
+def _frame(r: np.ndarray, rd: np.ndarray, basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Positions and velocities of rows of radius samples on the grid of basis."""
+    return _polar_frame(r, rd, basis[0][0], basis[1][0])
 
 
 def _match_rows(
@@ -156,21 +137,27 @@ def _match_rows(
     Row i is the curve with base radius a0[i] and coefficients coeffs[i]
     (cosines, sines), admissible already; basis is the harmonic basis on the
     quadrature nodes.  Rows run side by side but never mix: each keeps its
-    own bracket, bisection fallback, stops and step cap, as in match_length.
-    A row already within MATCH_TOL keeps its a0; a failed row's entry in the
-    returned radii is meaningless.
+    own bracket, bisection fallback, stops and step cap.  Monotonicity in a0
+    is not assumed: a row whose bracket endpoints do not straddle the target
+    fails, and a Newton step that would leave the bracket is replaced by
+    bisection.  A row already within MATCH_TOL keeps its a0 (the circle is
+    an exact fixed point); a failed row's entry in the returned radii is
+    meaningless.
     """
     cos_c, sin_c = coeffs[:, 0], coeffs[:, 1]
-    ct, st = basis[0][0], basis[1][0]
-    entry = _lengths(*_radius_rows(a0, cos_c, sin_c, basis), ct, st, cfg)
+
+    def gap(r: np.ndarray, rd: np.ndarray) -> np.ndarray:
+        """L - target_L of each row of radius samples."""
+        return _periodic_integral(length_integrand(*_frame(r, rd, basis), cfg))[0] - target_L
+
+    entry = gap(*_radius_rows(a0, cos_c, sin_c, basis))
     margin = [float(sum(abs(c) for c in row[0]) + sum(abs(s) for s in row[1])) for row in coeffs.tolist()]
     lo = np.array(margin) + 1e-6
     hi = 1.0 - np.array(margin) - 1e-6
     errors = {}
     todo = []
     for i, m in enumerate(margin):
-        # a row already at the target keeps its a0 (the circle is an exact fixed point)
-        if abs(entry[i] - target_L) <= MATCH_TOL:
+        if abs(entry[i]) <= MATCH_TOL:
             continue
         if lo[i] >= hi[i]:
             errors[i] = VerificationError(f"no admissible base-radius interval for margin {m}")
@@ -198,10 +185,10 @@ def _match_rows(
         speed = np.hypot(r, q)
         s = 1.0 - r * r
         slope = TWO_PI * np.mean(2.0 * r / (speed * s) + 4.0 * r * speed / (s * s), axis=-1)
-        return _lengths(r, q, ct, st, cfg) - target_L, slope
+        return gap(r, q), slope
 
-    f_lo = _lengths(lo[:, None] + p, pd, ct, st, cfg) - target_L
-    f_hi = _lengths(hi[:, None] + p, pd, ct, st, cfg) - target_L
+    f_lo = gap(lo[:, None] + p, pd)
+    f_hi = gap(hi[:, None] + p, pd)
     bracketed = f_lo * f_hi <= 0.0
     # tested negated so that a NaN excess (a NaN target) fails the bracket too
     for j in np.flatnonzero(~bracketed):
@@ -239,43 +226,10 @@ def _match_rows(
     return matched, errors
 
 
-def match_length(
-    curve: PolarFourierCurve,
-    target_L: float,
-    cfg: RandersConfig,
-    grid: QuadratureGrid = QuadratureGrid(),
-) -> PolarFourierCurve:
-    """Shift a0 until length(curve) = target_L, by Newton's method kept in a bracket.
-
-    Monotonicity in a0 is not assumed: the bracket endpoints must straddle
-    the target or a VerificationError is raised.  Each iterate tightens the
-    bracket, and a Newton step that would leave it is replaced by bisection.
-    A curve already at the target comes back with its a0 unchanged (the
-    circle is an exact fixed point).  The one-row case of _match_rows, after
-    the admissibility check that run_trials leaves to its draw.
-    """
-    require_admissible(curve)
-    coeffs = np.array([[curve.cos_coeffs, curve.sin_coeffs]])
-    basis = _harmonic_basis(grid.nodes, curve.harmonics)
-    a0, errors = _match_rows(np.array([curve.a0]), coeffs, target_L, cfg, basis)
-    if errors:
-        raise errors[0]
-    return curve.with_base_radius(a0[0])
-
-
 def deficit_value(length_value: float, area_value: float, cfg: RandersConfig) -> float:
     """L^2 - 4 pi A^ - A^2 with A^ = A/kappa, so all four forms share one deficit."""
     a_hat = area_value / cfg.kappa
     return length_value * length_value - 4.0 * math.pi * a_hat - a_hat * a_hat
-
-
-def isoperimetric_deficit(
-    curve: _PolarCurve,
-    cfg: RandersConfig,
-    grid: QuadratureGrid = QuadratureGrid(),
-) -> float:
-    """Hyperbolic isoperimetric deficit: nonnegative, zero exactly on circles."""
-    return deficit_value(length(curve, cfg, grid).value, area(curve, cfg, grid).value, cfg)
 
 
 class TrialBatch(Sequence):
@@ -321,12 +275,18 @@ def run_trials(
     Matching failures do not abort the batch; the trial is marked not-ok
     with NaN metrics and the error message in its note.
     """
-    circle = Circle(a)
-    target_L = length(circle, cfg, grid).value
-    circle_A = area(circle, cfg, grid).value
+    require_radius(a)
     coeffs = _draw(spec, a, _harmonic_basis(_ADMISSIBLE_NODES, spec.harmonics))
     basis = _harmonic_basis(grid.nodes, spec.harmonics)
-    ct, st = basis[0][0], basis[1][0]
+
+    def measure(a0: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Randers length and area of coefficient rows at base radii a0."""
+        points, velocities = _frame(*_radius_rows(a0, rows[:, 0], rows[:, 1], basis), basis)
+        L = _periodic_integral(length_integrand(points, velocities, cfg))[0]
+        return L, cfg.kappa * _periodic_integral(signed_area_integrand(points, velocities))[0]
+
+    # the circle is the row with no harmonics, measured as its trials are
+    (target_L,), (circle_A,) = measure(np.array([a]), np.zeros((1, 2, 0)))
     numbers = np.full((spec.count, len(TrialBatch.FIELDS)), math.nan)
     ok = np.zeros(spec.count, dtype=bool)
     notes = {}
@@ -342,10 +302,7 @@ def run_trials(
         # the matching bracket, so length and area share one evaluation
         # without a further check
         a0 = a0[good]
-        r, rd = _radius_rows(a0, block[good, 0], block[good, 1], basis)
-        points, velocities = _polar_frame(r, rd, ct, st)
-        L = _periodic_integral(length_integrand(points, velocities, cfg))[0]
-        A = cfg.kappa * _periodic_integral(signed_area_integrand(points, velocities))[0]
+        L, A = measure(a0, block[good])
         delta = A - circle_A
         index = [start + row for row in good]
         numbers[index] = np.stack(

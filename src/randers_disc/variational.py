@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .config import RandersConfig
-from .curves import TWO_PI, Circle, _PolarCurve, require_radius
+from .curves import TWO_PI, Circle, PolarFourierCurve, require_radius
 from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid
 from . import fd
@@ -68,12 +68,12 @@ def lambda_for_circle(a: float, cfg: RandersConfig) -> float:
 #    h(r, rdot) = (2 kap r^2 + 2 lam sqrt(r^2 + rdot^2))/(1 - r^2)
 #    Here and in normality, t is a scalar or an array and results take its shape.
 
-def _dg_drdot(curve: _PolarCurve, ts) -> np.ndarray:
+def _dg_drdot(curve: PolarFourierCurve, ts) -> np.ndarray:
     r, rd = curve.radius_batch(ts)
     return 2.0 * rd / (np.hypot(r, rd) * (1.0 - r * r))
 
 
-def _el_parts(curve: _PolarCurve, ts, kap: float) -> tuple[np.ndarray, np.ndarray]:
+def _el_parts(curve: PolarFourierCurve, ts, kap: float) -> tuple[np.ndarray, np.ndarray]:
     """Residual = f_part + lam * g_part, both analytic except d/dt by differences."""
     ts = np.asarray(ts, dtype=float)
     r, rd = curve.radius_batch(ts)
@@ -85,7 +85,7 @@ def _el_parts(curve: _PolarCurve, ts, kap: float) -> tuple[np.ndarray, np.ndarra
     return f_part, g_r - dt_term
 
 
-def el_residual(curve: _PolarCurve, kap: float, lam: float, t) -> np.ndarray:
+def el_residual(curve: PolarFourierCurve, kap: float, lam: float, t) -> np.ndarray:
     """Polar Euler-Lagrange residual dh/dr - d/dt dh/drdot at parameter(s) t."""
     f_part, g_part = _el_parts(curve, t, kap)
     return f_part + lam * g_part
@@ -111,7 +111,7 @@ def _g_gradients(points: np.ndarray, velocities: np.ndarray) -> tuple[np.ndarray
     return 4.0 * points * speed / (s * s), 2.0 * velocities / (s * speed)
 
 
-def normality(curve: _PolarCurve, t) -> tuple[np.ndarray, np.ndarray]:
+def normality(curve: PolarFourierCurve, t) -> tuple[np.ndarray, np.ndarray]:
     """(P1, P2) = g_x - d/dt g_v for the length constraint; must never both vanish."""
     t = np.asarray(t, dtype=float)
     gx, _ = _g_gradients(*curve.batch(t))

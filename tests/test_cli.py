@@ -180,6 +180,17 @@ def test_missing_output_directory_is_usage_error(capsys, monkeypatch, tmp_path):
     assert not (tmp_path / "no").exists()
 
 
+def test_output_naming_a_directory_is_usage_error(capsys, monkeypatch, tmp_path):
+    def computed(cfg):
+        raise AssertionError("the command ran")
+
+    replace_command(monkeypatch, "check-metric", computed)
+    rc = main(["check-metric", "--b", "0.5", "--output", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --output is a directory, not a file: {tmp_path}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def parse_defaults(command):
     """The parsed flags of a subcommand given only its required --form."""
     required = ["--form", "bh"] if "form" in cli._COMMANDS[command][2] else []

@@ -12,9 +12,9 @@ from randers_disc import (
     VerificationError,
     check_admissible,
     circle_closed_forms,
-    generate_perturbations,
     lambda_for_circle,
     require_admissible,
+    run_trials,
 )
 from randers_disc.curves import (
     _ADMISSIBLE_NODES,
@@ -42,15 +42,27 @@ def test_circle_radius_validation():
             Circle(bad)
 
 
+def test_circle_is_the_fourier_curve_without_harmonics():
+    circle = Circle(0.5)
+    assert isinstance(circle, PolarFourierCurve)
+    assert circle.a == circle.a0 == 0.5 and circle.harmonics == 0
+    assert repr(circle) == "Circle(a=0.5)" and repr(Circle(1 / 3)) == f"Circle(a={1 / 3!r})"
+    assert circle == Circle(0.5) and hash(circle) == hash(Circle(0.5))
+    assert circle != Circle(0.4)
+    assert circle != PolarFourierCurve(0.5)  # equal coefficients, another class
+    with pytest.raises(AttributeError):
+        circle.a = 0.4
+
+
 @pytest.mark.parametrize(
     "takes_radius",
     [
         Circle,
         lambda a: circle_closed_forms(a, RandersConfig(0.3)),
         lambda a: lambda_for_circle(a, RandersConfig(0.3)),
-        lambda a: generate_perturbations(PerturbationSpec(count=1), a),
+        lambda a: run_trials(a, RandersConfig(0.3), PerturbationSpec(count=1)),
     ],
-    ids=["Circle", "circle_closed_forms", "lambda_for_circle", "generate_perturbations"],
+    ids=["Circle", "circle_closed_forms", "lambda_for_circle", "run_trials"],
 )
 @pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
 def test_every_radius_check_is_the_circle_rule(takes_radius, bad):
@@ -73,7 +85,7 @@ def test_velocity_matches_position_derivative():
     assert num == pytest.approx(curve.batch(ts)[1], abs=1e-8)
 
 
-def test_circle_equals_zero_coefficient_fourier_bitwise():
+def test_circle_equals_zero_coefficient_fourier_bitwise(rng):
     a = 0.37
     circle = Circle(a)
     fourier = PolarFourierCurve(a, (0.0, 0.0), (0.0, 0.0))
@@ -84,6 +96,12 @@ def test_circle_equals_zero_coefficient_fourier_bitwise():
     assert vc.tolist() == vf.tolist()
     for t in (0.0, 1.25, 5.0):
         assert circle.batch(t)[0].tolist() == fourier.batch(t)[0].tolist()
+    # without harmonics it is the same curve: every output bit, at every shape of t
+    bare = PolarFourierCurve(a)
+    for t in (1.25, rng.uniform(0.0, 20.0, 9), rng.uniform(0.0, 20.0, (3, 5))):
+        for got, want in zip(circle.batch(t) + circle.radius_batch(np.asarray(t)),
+                             bare.batch(t) + bare.radius_batch(np.asarray(t))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_polar_identities():

@@ -12,18 +12,18 @@ from randers_disc import (
     DomainError,
     PerturbationSpec,
     PolarFourierCurve,
+    QuadratureGrid,
     RandersConfig,
     VerificationError,
     VolumeForm,
+    area,
     circle_closed_forms,
-    generate_perturbations,
-    isoperimetric_deficit,
+    deficit_value,
     length,
-    match_length,
     run_trials,
 )
 from randers_disc import isoperimetry
-from randers_disc.curves import TWO_PI, _harmonic_basis, _polar_frame
+from randers_disc.curves import _ADMISSIBLE_NODES, TWO_PI, _harmonic_basis, _polar_frame
 from randers_disc.functionals import length_integrand, signed_area_integrand
 from randers_disc.isoperimetry import _MATCH_STEPS, _NEWTON_TOL, MATCH_TOL, MATCH_WIDTH, TrialBatch
 from tests.conftest import GRID_A, GRID_B, rotated
@@ -43,23 +43,28 @@ def test_spec_validation():
             PerturbationSpec(**bad)
 
 
-def test_generation_is_deterministic_and_bounded():
+def drawn_curves(spec, a):
+    """The perturbations run_trials draws around the circle a, at base radius a."""
+    coeffs = isoperimetry._draw(spec, a, _harmonic_basis(_ADMISSIBLE_NODES, spec.harmonics))
+    return [PolarFourierCurve(a, c, s) for c, s in coeffs]
+
+
+def test_generation_is_deterministic_and_bounded(cfg_bh):
     spec = PerturbationSpec(seed=1, harmonics=4, epsilon=0.05, count=20)
-    first = generate_perturbations(spec, 0.5)
-    second = generate_perturbations(spec, 0.5)
-    assert len(first) == 20
-    for c, d in zip(first, second):
-        assert c.cos_coeffs == d.cos_coeffs and c.sin_coeffs == d.sin_coeffs
-        assert c.a0 == 0.5 and c.harmonics == 4
+    first = run_trials(0.5, cfg_bh, spec)
+    second = run_trials(0.5, cfg_bh, spec)
+    assert len(first) == 20 and first.a == 0.5
+    assert first.coeffs.shape == (20, 2, 4)
+    assert first.coeffs.tobytes() == second.coeffs.tobytes()
+    for c, s in first.coeffs:
         for k in range(1, 5):
-            assert abs(c.cos_coeffs[k - 1]) <= 0.05 / k
-            assert abs(c.sin_coeffs[k - 1]) <= 0.05 / k
+            assert abs(c[k - 1]) <= 0.05 / k
+            assert abs(s[k - 1]) <= 0.05 / k
 
 
-def test_generation_zero_epsilon_gives_circles():
+def test_generation_zero_epsilon_gives_circles(cfg_bh):
     spec = PerturbationSpec(epsilon=0.0, count=5)
-    for c in generate_perturbations(spec, 0.3):
-        assert all(v == 0.0 for v in c.cos_coeffs + c.sin_coeffs)
+    assert np.all(run_trials(0.3, cfg_bh, spec).coeffs == 0.0)
 
 
 def test_generation_exhaustion():
@@ -68,7 +73,7 @@ def test_generation_exhaustion():
     spec = PerturbationSpec(count=3)
     message = "rejected 301 draws for 3 curves; epsilon too large for a=0.99"
     with pytest.raises(VerificationError, match="epsilon too large") as caught:
-        generate_perturbations(spec, 0.99)
+        drawn_curves(spec, 0.99)
     assert str(caught.value) == message
     for run in (lambda: run_trials(0.99, RandersConfig(0.0), spec), lambda: reference_draws(spec, 0.99)):
         with pytest.raises(VerificationError) as caught:
@@ -76,14 +81,24 @@ def test_generation_exhaustion():
         assert str(caught.value) == message
 
 
-def test_generation_independent_of_count_prefix():
-    a = generate_perturbations(PerturbationSpec(seed=7, count=10), 0.5)
-    b = generate_perturbations(PerturbationSpec(seed=7, count=4), 0.5)
-    for c, d in zip(a[:4], b):
-        assert c.cos_coeffs == d.cos_coeffs and c.sin_coeffs == d.sin_coeffs
+def test_generation_independent_of_count_prefix(cfg_bh):
+    a = run_trials(0.5, cfg_bh, PerturbationSpec(seed=7, count=10)).coeffs
+    b = run_trials(0.5, cfg_bh, PerturbationSpec(seed=7, count=4)).coeffs
+    assert a[:4].tobytes() == b.tobytes()
 
 
 # -- length matching ----------------------------------------------------------
+#    The block matcher on one row: the curve at its matched base radius, or
+#    the row's error raised.
+
+def match_length(curve, target, cfg, n=1024):
+    coeffs = np.array([[curve.cos_coeffs, curve.sin_coeffs]])
+    basis = _harmonic_basis(QuadratureGrid(n).nodes, curve.harmonics)
+    a0, errors = isoperimetry._match_rows(np.array([curve.a0]), coeffs, target, cfg, basis)
+    if errors:
+        raise errors[0]
+    return curve.with_base_radius(a0[0])
+
 
 def test_match_length_fixed_point(cfg_bh):
     curve = PolarFourierCurve(0.5, (0.02,), (0.01,))
@@ -130,7 +145,7 @@ def test_match_length_newton_agrees_with_bisection(a, b):
     cfg = RandersConfig(b, VolumeForm.BUSEMANN_HAUSDORFF)
     target = circle_closed_forms(a, cfg)["length"]
     spec = PerturbationSpec(seed=int(100 * a + 10 * b), harmonics=4, epsilon=0.01, count=2)
-    for curve in generate_perturbations(spec, a):
+    for curve in drawn_curves(spec, a):
         matched = match_length(curve, target, cfg)
         assert abs(matched.a0 - bisect_base_radius(curve, target, cfg)) <= MATCH_TOL
         assert abs(length(matched, cfg).value - target) <= MATCH_TOL
@@ -185,13 +200,28 @@ def test_run_trials_zero_epsilon(cfg_bh):
         assert r.ok and r.delta_area == 0.0 and r.deficit <= 1e-10
 
 
+@pytest.mark.parametrize("harmonics", [1, 4, 8])
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_run_trials_measures_the_circle_as_length_does_bitwise(n, harmonics):
+    # the circle is the zero-coefficient row, measured through the trials' kernel
+    # and integrals; it must come out exactly as length and area measure Circle(a)
+    grid = QuadratureGrid(n)
+    spec = PerturbationSpec(harmonics=harmonics, epsilon=0.0, count=3)
+    for a in (0.2, 0.5, 0.95):
+        for cfg in (RandersConfig(0.3, "bh"), RandersConfig(0.7, "min")):
+            want = length(Circle(a), cfg, grid).value
+            for r in run_trials(a, cfg, spec, grid):
+                assert r.ok and r.note == ""
+                assert r.length == want and r.delta_area == 0.0
+
+
 def test_run_trials_rotation_invariance(cfg_bh):
     spec = PerturbationSpec(seed=11, count=8)
     base = run_trials(0.5, cfg_bh, spec)
     closed = circle_closed_forms(0.5, cfg_bh)
     for r in base:
         matched = match_length(rotated(r.curve, 1.1), closed["length"], cfg_bh)
-        d_rot = isoperimetry.area(matched, cfg_bh).value - closed["area"]
+        d_rot = area(matched, cfg_bh).value - closed["area"]
         assert d_rot == pytest.approx(r.delta_area, abs=1e-10)
 
 
@@ -202,7 +232,7 @@ def test_run_trials_records_failures(cfg_bh, monkeypatch):
     monkeypatch.setattr(isoperimetry, "_match_rows", boom)
     spec = PerturbationSpec(count=2)
     results = run_trials(0.5, cfg_bh, spec)
-    for r, drawn in zip(results, generate_perturbations(spec, 0.5)):
+    for r, drawn in zip(results, drawn_curves(spec, 0.5)):
         assert not r.ok
         assert r.note == "no admissible bracket"
         numbers = (r.a0_matched, r.length, r.area, r.length_err, r.delta_area, r.deficit)
@@ -227,7 +257,7 @@ def test_trial_batch_is_a_sequence(cfg_bh):
     assert batch[2].ok
     with pytest.raises(ValueError, match="read-only"):
         batch.numbers[2, 0] = 0.0
-    for r, curve in zip(rows, generate_perturbations(PerturbationSpec(seed=4, count=5), 0.5)):
+    for r, curve in zip(rows, drawn_curves(PerturbationSpec(seed=4, count=5), 0.5)):
         assert r.curve == curve.with_base_radius(r.a0_matched)
 
 
@@ -355,7 +385,7 @@ def reference_trials(a, cfg, spec, n=1024):
     """(numbers, ok, notes) as run_trials stores them, one trial at a time."""
     ts = TWO_PI * np.arange(n) / n
     target = length(Circle(a), cfg).value
-    circle_A = isoperimetry.area(Circle(a), cfg).value
+    circle_A = area(Circle(a), cfg).value
     numbers = np.full((spec.count, len(TrialBatch.FIELDS)), math.nan)
     ok = np.zeros(spec.count, dtype=bool)
     notes = {}
@@ -370,7 +400,7 @@ def reference_trials(a, cfg, spec, n=1024):
         L = length_integrand(points, velocities, cfg).mean() * TWO_PI
         A = cfg.kappa * (signed_area_integrand(points, velocities).mean() * TWO_PI)
         delta = A - circle_A
-        numbers[index] = (a0, L, A, abs(L - target), delta, isoperimetry.deficit_value(L, A, cfg))
+        numbers[index] = (a0, L, A, abs(L - target), delta, deficit_value(L, A, cfg))
         ok[index] = delta < isoperimetry.STRICT_DECREASE or not (np.any(c) or np.any(s))
     return numbers, ok, notes
 
@@ -402,10 +432,10 @@ def test_run_trials_equals_the_per_trial_reference_bitwise(a, b, form, seed, eps
 
 @pytest.mark.parametrize("a, epsilon", [(0.5, 0.05), (0.95, 0.05), (0.99, 0.002)])
 def test_match_length_equals_the_per_trial_reference_bitwise(a, epsilon, cfg_bh):
-    # match_length is the block matcher's one-row case: matched, not bracketed, stalled
+    # the block matcher on one row: matched, not bracketed, stalled
     target = length(Circle(a), cfg_bh).value
     ts = TWO_PI * np.arange(1024) / 1024
-    for curve in generate_perturbations(PerturbationSpec(seed=3, epsilon=epsilon, count=6), a):
+    for curve in drawn_curves(PerturbationSpec(seed=3, epsilon=epsilon, count=6), a):
         c, s = np.array(curve.cos_coeffs), np.array(curve.sin_coeffs)
         try:
             want = reference_match(a, c, s, target, cfg_bh, ts)
@@ -448,24 +478,26 @@ def test_match_rows_keep_their_own_iterations(cfg_bh):
 def test_deficit_vanishes_on_circles(form, b):
     cfg = RandersConfig(b, form)
     for a in GRID_A:
-        assert abs(isoperimetric_deficit(Circle(a), cfg)) <= 1e-8
+        circle = Circle(a)
+        assert abs(deficit_value(length(circle, cfg).value, area(circle, cfg).value, cfg)) <= 1e-8
 
 
 def test_deficit_positive_off_circles(cfg_bh):
-    assert isoperimetric_deficit(PolarFourierCurve(0.5, (0.0,), (0.05,)), cfg_bh) > 0.0
+    curve = PolarFourierCurve(0.5, (0.0,), (0.05,))
+    assert deficit_value(length(curve, cfg_bh).value, area(curve, cfg_bh).value, cfg_bh) > 0.0
 
 
 def test_deficit_independent_of_drift():
     curve = PolarFourierCurve(0.4, (0.03,), (-0.02,))
-    base = isoperimetric_deficit(curve, RandersConfig(0.0))
+    cfg = RandersConfig(0.0)
+    base = deficit_value(length(curve, cfg).value, area(curve, cfg).value, cfg)
     for b in (0.3, 0.7):
         for form in VolumeForm:
-            val = isoperimetric_deficit(curve, RandersConfig(b, form))
+            cfg = RandersConfig(b, form)
+            val = deficit_value(length(curve, cfg).value, area(curve, cfg).value, cfg)
             assert val == pytest.approx(base, rel=1e-10)
 
 
 def test_deficit_value_normalises_area(cfg_bh):
     closed = circle_closed_forms(0.5, cfg_bh)
-    assert isoperimetry.deficit_value(
-        closed["length"], closed["area"], cfg_bh
-    ) == pytest.approx(0.0, abs=1e-12)
+    assert deficit_value(closed["length"], closed["area"], cfg_bh) == pytest.approx(0.0, abs=1e-12)

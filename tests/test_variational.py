@@ -611,6 +611,16 @@ def test_certificate_passes_at_reference_point(cfg_bh):
     assert cert.conjugate is not None and not cert.conjugate.zero_crossing
 
 
+def test_certificate_normality_floor_is_tol(cfg_bh):
+    # normality_min is about 4.444 here: a floor of twice that fails the
+    # normality check and nothing else, and the default floor passes
+    cert = build_certificate(0.5, cfg_bh)
+    assert cert.passed and cert.normality_min == pytest.approx(4.444, abs=1e-3)
+    strict = build_certificate(0.5, cfg_bh, tol=2.0 * cert.normality_min)
+    assert not strict.passed
+    assert [n for n in strict.notes if n.startswith("condition failed")] == ["condition failed: normality"]
+
+
 def test_certificate_fails_with_overridden_multiplier(cfg_bh):
     cert = build_certificate(0.5, cfg_bh, lambda_override=0.8)
     assert not cert.passed
