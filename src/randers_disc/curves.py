@@ -8,10 +8,18 @@ reduced modulo 2*pi), with positions and velocities on a trailing axis.
 There is one curve class: radii come from one harmonic kernel that
 evaluates rows of coefficients at once, a single curve is its one-row case,
 and a Circle is the Fourier curve with no harmonics.
+
+Admissibility has one rule over rows of coefficients.  Every sample of a
+row satisfies |r - a0| <= M = sum_k |c_k| + |s_k|, and |velocity| >= r, so
+a row with a0 - M > 2*margin and a0 + M < 1 - 2*margin is admissible on
+every node; the spare margin absorbs roundoff in r.  Only rows this
+coefficient bound cannot clear (a NaN bound clears nothing) are sampled
+on the 4096-node grid.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -143,9 +151,54 @@ def _admissible_rows(r: np.ndarray, rd: np.ndarray) -> np.ndarray:
     return inside & np.all(r * r + rd * rd > margin * margin, axis=-1)
 
 
+def _coefficient_bound(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
+    """M = sum_k |c_k| + sum_k |s_k| of each row, a bound on |r - a0| at every t.
+
+    Each sum runs left to right from k = 1, as a plain Python sum does
+    (numpy's sum pairs terms from eight on), so M has the same bits in the
+    draw check, in the matcher's bracket and in a one-curve reference.
+    """
+    def total(coeffs):
+        m = np.zeros(len(coeffs))
+        for k in range(coeffs.shape[1]):
+            m = m + np.abs(coeffs[:, k])
+        return m
+
+    return total(cos_coeffs) + total(sin_coeffs)
+
+
+@functools.lru_cache(maxsize=4)
+def _admissible_basis(harmonics: int) -> tuple[np.ndarray, np.ndarray]:
+    """The harmonic basis on the admissibility grid, read-only."""
+    basis = _harmonic_basis(_ADMISSIBLE_NODES, harmonics)
+    for part in basis:
+        part.setflags(write=False)
+    return basis
+
+
+def _bound_clears(a0: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
+    """Per row: a0 - M > 2*margin and a0 + M < 1 - 2*margin, so every node is admissible."""
+    bound = _coefficient_bound(cos_coeffs, sin_coeffs)
+    slack = 2.0 * _ADMISSIBLE_MARGIN
+    return (a0 - bound > slack) & (a0 + bound < 1.0 - slack)
+
+
+def _admissible(a0: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
+    """Per row: admissible by the coefficient bound, or else on the sampled grid."""
+    ok = _bound_clears(a0, cos_coeffs, sin_coeffs)
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        basis = _admissible_basis(cos_coeffs.shape[1])
+        ok[rest] = _admissible_rows(*_radius_rows(a0[rest], cos_coeffs[rest], sin_coeffs[rest], basis))
+    return ok
+
+
 def check_admissible(curve: PolarFourierCurve) -> bool:
-    """True iff r(t) in (margin, 1 - margin) and |velocity| > margin on the grid."""
-    return bool(_admissible_rows(*curve.radius_batch(_ADMISSIBLE_NODES)))
+    """True iff r(t) in (margin, 1 - margin) and |velocity| > margin on the grid.
+
+    A curve the coefficient bound clears is admissible without sampling.
+    """
+    return bool(_admissible(np.array([curve.a0]), np.array([curve.cos_coeffs]), np.array([curve.sin_coeffs])))
 
 
 def require_admissible(curve: PolarFourierCurve) -> None:

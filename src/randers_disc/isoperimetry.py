@@ -9,13 +9,18 @@ strictly negative area changes; harmonic-1 perturbations are near-neutral
 translation directions, so strictness is only required past -1e-12.
 
 run_trials works on small fixed blocks of trials: draws are checked for
-admissibility a block at a time, and one Newton matcher runs a block's rows
-side by side, each row with its own bracket and stops.  Every row gets the
-arithmetic it would get alone, so a trial does not depend on the block it
-falls in.  The circle is the row with no harmonics, measured by the same
-kernel and integrals as its trials.  cos t, sin t and the harmonic basis
-are built once per grid per call.  Results come back as a TrialBatch,
-which stores them by column.
+admissibility a block at a time, by the coefficient bound and on the
+sampled grid only where the bound cannot clear them, and one Newton
+matcher runs a block's rows side by side, each row with its own bracket
+and stops.  Every row gets the arithmetic it would get alone, so a trial
+does not depend on the block it falls in.  Work a proof makes redundant
+is skipped: the entry check is Newton's first iterate, and because the
+length increases with the base radius, a row's bracket ends are evaluated
+only when its iteration leaves the bracket or fails to converge.  The
+circle is the row with no harmonics, checked before anything is drawn and
+measured by the same kernel and integrals as its trials.  cos t, sin t
+and the harmonic basis are built once per grid per call.  Results come
+back as a TrialBatch, which stores them by column.
 """
 from __future__ import annotations
 
@@ -27,13 +32,15 @@ import numpy as np
 
 from .config import RandersConfig
 from .curves import (
-    _ADMISSIBLE_NODES,
     TWO_PI,
+    Circle,
     PolarFourierCurve,
-    _admissible_rows,
+    _admissible,
+    _coefficient_bound,
     _harmonic_basis,
     _polar_frame,
     _radius_rows,
+    require_admissible,
     require_radius,
 )
 from .errors import DomainError, VerificationError
@@ -82,17 +89,17 @@ class TrialResult:
     note: str = ""
 
 
-def _draw(spec: PerturbationSpec, a: float, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _draw(spec: PerturbationSpec, a: float) -> np.ndarray:
     """(count, 2, K) cosine and sine coefficients of admissible perturbations of the circle a.
 
     Coefficient k is uniform on [-eps, eps]/k.  Each index owns the stream
     seeded by (seed, index), so trial i is reproducible in isolation;
     inadmissible draws are redrawn from the same stream against a global
     budget of 100*count rejections.  Draws are checked _DRAW_ROWS at a
-    time, each once, on basis (the harmonic basis on the admissibility
-    grid).  Each index rejects the same draws in any order and every
-    rejection is counted as it is seen, so the budget runs out, with the
-    same message, exactly when it would drawing one index at a time.
+    time, each once, by the one admissibility rule.  Each index rejects the
+    same draws in any order and every rejection is counted as it is seen,
+    so the budget runs out, with the same message, exactly when it would
+    drawing one index at a time.
     """
     ks = np.arange(1, spec.harmonics + 1)
     budget = 100 * spec.count
@@ -107,8 +114,8 @@ def _draw(spec: PerturbationSpec, a: float, basis: tuple[np.ndarray, np.ndarray]
                 coeffs[i, 1] = rng.uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
             pending = list(streams)
             drawn = coeffs[pending]
-            r, rd = _radius_rows(np.full(len(pending), a), drawn[:, 0], drawn[:, 1], basis)
-            for i, admissible in zip(pending, _admissible_rows(r, rd)):
+            verdicts = _admissible(np.full(len(pending), a), drawn[:, 0], drawn[:, 1])
+            for i, admissible in zip(pending, verdicts):
                 if admissible:
                     del streams[i]
                     continue
@@ -125,6 +132,12 @@ def _frame(r: np.ndarray, rd: np.ndarray, basis: tuple[np.ndarray, np.ndarray]) 
     return _polar_frame(r, rd, basis[0][0], basis[1][0])
 
 
+def _bracket_ends(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, pd: np.ndarray,
+                  gap) -> tuple[np.ndarray, np.ndarray]:
+    """gap (L - target_L of rows of r, r') at the ends lo and hi of each row's bracket."""
+    return gap(lo[:, None] + p, pd), gap(hi[:, None] + p, pd)
+
+
 def _match_rows(
     a0: np.ndarray,
     coeffs: np.ndarray,
@@ -137,86 +150,117 @@ def _match_rows(
     Row i is the curve with base radius a0[i] and coefficients coeffs[i]
     (cosines, sines), admissible already; basis is the harmonic basis on the
     quadrature nodes.  Rows run side by side but never mix: each keeps its
-    own bracket, bisection fallback, stops and step cap.  Monotonicity in a0
-    is not assumed: a row whose bracket endpoints do not straddle the target
-    fails, and a Newton step that would leave the bracket is replaced by
-    bisection.  A row already within MATCH_TOL keeps its a0 (the circle is
-    an exact fixed point); a failed row's entry in the returned radii is
-    meaningless.
+    own bracket [lo, hi] = [M + 1e-6, 1 - M - 1e-6] (M the coefficient
+    bound), bisection fallback, stops and step cap.  A row already within
+    MATCH_TOL keeps its a0 (the circle is an exact fixed point); otherwise
+    its entry point is Newton's first iterate.  A failed row's entry in the
+    returned radii is meaningless.
+
+    L(a0 + p) increases in a0 at every node: with w = |velocity| =
+    sqrt(r^2 + r'^2) >= |r'|, s = 1 - r^2 and b < 1 the integrand
+    F = 2w/s + 2b r'/s has dF/dr = 2r/(ws) + 4r(w + b r')/s^2
+    >= 2r/(ws) + 4r(w - b|r'|)/s^2 > 0.  So f = L - target_L has f(lo) < 0
+    < f(hi) for any row whose start and Newton steps stay inside the
+    bracket and which converges, and such a row takes the steps it would
+    take knowing f(lo) and f(hi).  Those two ends are evaluated only for a
+    row that starts outside the bracket, steps outside it, or does not
+    converge; it then fails, as it would knowing them from the start, if
+    they do not straddle the target, and fails loudly if f(lo) >= 0
+    contradicts the lemma.  A Newton step that would leave the bracket is
+    replaced by bisection.
     """
     cos_c, sin_c = coeffs[:, 0], coeffs[:, 1]
+    # r = a0 + p with p independent of a0, so p and p' are sampled once; within
+    # the bracket the radius stays inside [a0 - M, a0 + M], so admissibility
+    # holds by construction and the per-step check is skipped
+    p, pd = _radius_rows(np.zeros(len(a0)), cos_c, sin_c, basis)
 
     def gap(r: np.ndarray, rd: np.ndarray) -> np.ndarray:
         """L - target_L of each row of radius samples."""
         return _periodic_integral(length_integrand(*_frame(r, rd, basis), cfg))[0] - target_L
 
-    entry = gap(*_radius_rows(a0, cos_c, sin_c, basis))
-    margin = [float(sum(abs(c) for c in row[0]) + sum(abs(s) for s in row[1])) for row in coeffs.tolist()]
-    lo = np.array(margin) + 1e-6
-    hi = 1.0 - np.array(margin) - 1e-6
-    errors = {}
-    todo = []
-    for i, m in enumerate(margin):
-        if abs(entry[i]) <= MATCH_TOL:
-            continue
-        if lo[i] >= hi[i]:
-            errors[i] = VerificationError(f"no admissible base-radius interval for margin {m}")
-        else:
-            todo.append(i)
-    matched = a0.copy()
-    if not todo:
-        return matched, errors
-
-    # r = a0 + p with p independent of a0, so p and p' are sampled once; within
-    # the bracket the radius stays inside [a0 - margin, a0 + margin], so
-    # admissibility holds by construction and the per-step check is skipped
-    p, pd = _radius_rows(np.zeros(len(todo)), cos_c[todo], sin_c[todo], basis)
-    lo, hi = lo[todo], hi[todo]
-
-    def excess(x: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """L(x) - target_L and dL/da0 for the rows live of p.
+    def excess(x: np.ndarray, p: np.ndarray, pd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L - target_L and dL/da0 of the rows r = x + p.
 
         The drift one-form is exact, so its part of L does not depend on a0
         and the slope is the derivative of the alpha part alone:
         d/da0 of 2|v|/(1 - r^2) with |v| = sqrt(r^2 + p'^2).
         """
-        r = x[:, None] + p[live]
-        q = pd[live]
-        speed = np.hypot(r, q)
+        r = x[:, None] + p
+        speed = np.hypot(r, pd)
         s = 1.0 - r * r
         slope = TWO_PI * np.mean(2.0 * r / (speed * s) + 4.0 * r * speed / (s * s), axis=-1)
-        return gap(r, q), slope
+        return gap(r, pd), slope
 
-    f_lo = gap(lo[:, None] + p, pd)
-    f_hi = gap(hi[:, None] + p, pd)
-    bracketed = f_lo * f_hi <= 0.0
-    # tested negated so that a NaN excess (a NaN target) fails the bracket too
-    for j in np.flatnonzero(~bracketed):
-        errors[todo[j]] = VerificationError(
-            f"target length {target_L} not bracketed on [{float(lo[j])}, {float(hi[j])}] "
-            f"(excess {f_lo[j]:.3e} and {f_hi[j]:.3e})"
-        )
-    start = a0[todo]
-    x = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
-    f = np.full(len(todo), math.nan)
-    live = np.flatnonzero(bracketed)
-    for _ in range(_MATCH_STEPS):
+    bound = _coefficient_bound(cos_c, sin_c)
+    lo, hi = bound + 1e-6, 1.0 - bound - 1e-6
+    f, slope = excess(a0, p, pd)
+    away = ~(np.abs(f) <= MATCH_TOL)
+    errors = {}
+    for i in np.flatnonzero(away & ~(lo < hi)).tolist():
+        errors[i] = VerificationError(f"no admissible base-radius interval for margin {bound[i].item()}")
+    todo = np.flatnonzero(away & (lo < hi))
+    matched = a0.copy()
+    if not len(todo):
+        return matched, errors
+
+    # from here on, arrays hold the rows of todo
+    x, f, slope, p, pd, lo, hi = a0[todo], f[todo], slope[todo], p[todo], pd[todo], lo[todo], hi[todo]
+    todo = todo.tolist()
+    ends_lo, ends_hi = lo.copy(), hi.copy()
+    # f(lo) < 0 by the lemma; only its sign steers the bracket, so -1 stands
+    # in for it, and is confirmed if the row's ends are ever evaluated
+    f_lo = np.full(len(todo), -1.0)
+    checked = np.zeros(len(todo), dtype=bool)
+
+    def check_ends(rows: np.ndarray) -> np.ndarray:
+        """Evaluate the bracket ends of rows, fail the rows they do not confirm, return the others."""
+        at_lo, at_hi = _bracket_ends(ends_lo[rows], ends_hi[rows], p[rows], pd[rows], gap)
+        checked[rows] = True
+        # tested negated so that a NaN excess (a NaN target) fails the bracket too
+        bracketed = at_lo * at_hi <= 0.0
+        rising = at_lo < 0.0
+        for j, e_lo, e_hi, ok, up in zip(rows.tolist(), at_lo, at_hi, bracketed, rising):
+            interval = f"[{ends_lo[j].item()}, {ends_hi[j].item()}] (excess {e_lo:.3e} and {e_hi:.3e})"
+            if not ok:
+                errors[todo[j]] = VerificationError(f"target length {target_L} not bracketed on {interval}")
+            elif not up:
+                errors[todo[j]] = VerificationError(
+                    f"length does not increase with the base radius on {interval}")
+        return rows[bracketed & rising]
+
+    live = np.arange(len(todo))
+    outside = ~((lo < x) & (x < hi))
+    if outside.any():
+        kept = check_ends(np.flatnonzero(outside))
+        live = np.union1d(np.flatnonzero(~outside), kept)
+        x[kept] = 0.5 * (lo[kept] + hi[kept])
+        f[kept], slope[kept] = excess(x[kept], p[kept], pd[kept])
+    near = np.zeros(len(todo), dtype=bool)
+    for iterate in range(_MATCH_STEPS):
         if not len(live):
             break
-        x_l, lo_l, hi_l, f_lo_l = x[live], lo[live], hi[live], f_lo[live]
-        f_l, slope = excess(x_l, live)
-        f[live] = f_l
-        near = np.abs(f_l) <= _NEWTON_TOL
+        if iterate:  # the first iterate's excess is in hand
+            f[live], slope[live] = excess(x[live], p[live], pd[live])
+        x_l, lo_l, hi_l, f_lo_l, f_l = x[live], lo[live], hi[live], f_lo[live], f[live]
+        near_l = np.abs(f_l) <= _NEWTON_TOL
         below = f_lo_l * f_l <= 0.0  # the root lies below x, which becomes hi
-        hi_l = np.where(~near & below, x_l, hi_l)
-        lo_l = np.where(~near & ~below, x_l, lo_l)
-        f_lo[live] = np.where(~near & ~below, f_l, f_lo_l)
-        done = near | (hi_l - lo_l < MATCH_WIDTH)
-        step = x_l - f_l / slope
+        hi_l = np.where(~near_l & below, x_l, hi_l)
+        lo_l = np.where(~near_l & ~below, x_l, lo_l)
+        f_lo[live] = np.where(~near_l & ~below, f_l, f_lo_l)
+        done = near_l | (hi_l - lo_l < MATCH_WIDTH)
+        step = x_l - f_l / slope[live]
         inside = (lo_l < step) & (step < hi_l)
         x[live] = np.where(done, x_l, np.where(inside, step, 0.5 * (lo_l + hi_l)))
         lo[live], hi[live] = lo_l, hi_l
+        near[live] = near_l
+        leaving = live[~done & ~inside & ~checked[live]]
         live = live[~done]
+        if len(leaving):
+            live = np.setdiff1d(live, np.setdiff1d(leaving, check_ends(leaving)))
+    unconverged = np.flatnonzero(~near & ~checked)
+    if len(unconverged):
+        check_ends(unconverged)
     for j, i in enumerate(todo):
         if i in errors:
             continue
@@ -276,7 +320,10 @@ def run_trials(
     with NaN metrics and the error message in its note.
     """
     require_radius(a)
-    coeffs = _draw(spec, a, _harmonic_basis(_ADMISSIBLE_NODES, spec.harmonics))
+    # the circle is checked before its perturbations, so a radius within the
+    # admissibility margin of 0 or 1 is named as such rather than blamed on epsilon
+    require_admissible(Circle(a))
+    coeffs = _draw(spec, a)
     basis = _harmonic_basis(grid.nodes, spec.harmonics)
 
     def measure(a0: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

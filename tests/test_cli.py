@@ -362,6 +362,18 @@ def test_perturb_zero_epsilon_trivial_pass(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("epsilon", ["0.05", "0"])
+def test_perturb_radius_at_the_rim_names_the_circle(tmp_path, capsys, epsilon):
+    # a valid radius within the admissibility margin of the rim: the circle
+    # itself is inadmissible, which is reported before anything is drawn
+    rc, out = run(["perturb", "--a", "0.9999999999", "--form", "bh", "--trials", "3", "--epsilon", epsilon],
+                  tmp_path)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: curve Circle(a=0.9999999999) leaves the admissible polar-graph class\n")
+    assert not out.exists()
+
+
 def test_perturb_noise_floor_reports_failure(tmp_path):
     # at epsilon ~ 1e-9 the area change sits below the strict-decrease margin
     rc, out = run(

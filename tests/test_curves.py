@@ -17,9 +17,12 @@ from randers_disc import (
     run_trials,
 )
 from randers_disc.curves import (
+    _ADMISSIBLE_MARGIN,
     _ADMISSIBLE_NODES,
     TWO_PI,
+    _admissible,
     _admissible_rows,
+    _bound_clears,
     _harmonic_basis,
     _polar_frame,
     _radius_rows,
@@ -171,6 +174,36 @@ def test_admissible_rows_agree_with_check_admissible():
     sin_c = np.array([c.sin_coeffs for c in curves])
     rows = _admissible_rows(*_radius_rows(a0, cos_c, sin_c, _harmonic_basis(_ADMISSIBLE_NODES, 2)))
     assert rows.tolist() == [check_admissible(c) for c in curves] == [True, False, False, True]
+
+
+@given(
+    harmonics=st.integers(1, 16),
+    edge=st.sampled_from(["origin", "rim"]),
+    log_gap=st.floats(-12.0, np.log10(0.5)),
+    scales=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+    nan_rows=st.sets(st.integers(0, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coefficient_bound_clears_only_rows_the_samples_admit(harmonics, edge, log_gap, scales, nan_rows,
+                                                               seed):
+    # a0 sits 10**log_gap from the origin or the rim; each row's coefficients
+    # sum to scale times the room the bound leaves, so scales below 1 are
+    # cleared by the bound and scales above 1 fall through to the samples
+    gap = 10.0 ** log_gap
+    a0_value = gap if edge == "origin" else 1.0 - gap
+    room = max(min(a0_value, 1.0 - a0_value) - 2.0 * _ADMISSIBLE_MARGIN, 0.0)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.0, 1.0, (len(scales), 2, harmonics))
+    coeffs *= (np.array(scales) * room / np.abs(coeffs).sum(axis=(1, 2)))[:, None, None]
+    for row in nan_rows & set(range(len(scales))):
+        coeffs[row, rng.integers(2), rng.integers(harmonics)] = np.nan
+    a0 = np.full(len(scales), a0_value)
+    cos_c, sin_c = coeffs[:, 0], coeffs[:, 1]
+    cleared = _bound_clears(a0, cos_c, sin_c)
+    sampled = _admissible_rows(*_radius_rows(a0, cos_c, sin_c, _harmonic_basis(_ADMISSIBLE_NODES, harmonics)))
+    assert np.all(sampled[cleared])
+    assert not np.any(cleared[np.isnan(coeffs).any(axis=(1, 2))])  # a NaN row is sampled, and fails
+    assert _admissible(a0, cos_c, sin_c).tolist() == sampled.tolist()
 
 
 def test_unequal_coefficient_lists_rejected():

@@ -3,9 +3,12 @@ import gc
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from randers_disc import (
     Circle,
@@ -22,9 +25,9 @@ from randers_disc import (
     length,
     run_trials,
 )
-from randers_disc import isoperimetry
-from randers_disc.curves import _ADMISSIBLE_NODES, TWO_PI, _harmonic_basis, _polar_frame
-from randers_disc.functionals import length_integrand, signed_area_integrand
+from randers_disc import curves, isoperimetry
+from randers_disc.curves import TWO_PI, _harmonic_basis, _polar_frame, _radius_rows
+from randers_disc.functionals import _periodic_integral, length_integrand, signed_area_integrand
 from randers_disc.isoperimetry import _MATCH_STEPS, _NEWTON_TOL, MATCH_TOL, MATCH_WIDTH, TrialBatch
 from tests.conftest import GRID_A, GRID_B, rotated
 
@@ -45,7 +48,7 @@ def test_spec_validation():
 
 def drawn_curves(spec, a):
     """The perturbations run_trials draws around the circle a, at base radius a."""
-    coeffs = isoperimetry._draw(spec, a, _harmonic_basis(_ADMISSIBLE_NODES, spec.harmonics))
+    coeffs = isoperimetry._draw(spec, a)
     return [PolarFourierCurve(a, c, s) for c, s in coeffs]
 
 
@@ -176,6 +179,44 @@ def test_match_length_nan_target_raises(cfg_bh):
         match_length(PolarFourierCurve(0.5, (0.01,), (0.0,)), math.nan, cfg_bh)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    harmonics=st.integers(1, 8),
+    size=st.floats(0.0, 0.45),
+    b=st.floats(0.0, 0.999),
+    form=st.sampled_from(list(VolumeForm)),
+)
+def test_length_increases_with_base_radius_across_the_bracket(seed, harmonics, size, b, form):
+    # the lemma the matcher's lazy bracket ends rest on: with r = a0 + p,
+    # L strictly increases in a0 over the whole bracket, whatever p and b < 1
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, harmonics))
+    c, s = coeffs * size / np.abs(coeffs).sum()  # sum |c_k| + |s_k| = size < 1/2
+    margin = float(sum(abs(x) for x in c) + sum(abs(x) for x in s))
+    a0 = np.linspace(margin + 1e-6, 1.0 - margin - 1e-6, 64)
+    basis = _harmonic_basis(QuadratureGrid().nodes, harmonics)
+    p, pd = _radius_rows(np.zeros(1), c[None], s[None], basis)
+    points, velocities = _polar_frame(a0[:, None] + p, pd, basis[0][0], basis[1][0])
+    L = _periodic_integral(length_integrand(points, velocities, RandersConfig(b, form)))[0]
+    assert np.all(np.diff(L) > 0.0)
+
+
+def test_match_rows_fail_loudly_where_length_would_not_increase(cfg_bh, monkeypatch):
+    # bracket ends that contradict the lemma must fail the row, not steer it
+    curve = PolarFourierCurve(0.05, (0.01,), (0.0,))
+    target = length(curve.with_base_radius(0.98), cfg_bh).value
+    monkeypatch.setattr(isoperimetry, "_bracket_ends",
+                        lambda lo, hi, p, pd, gap: (np.ones(len(lo)), -np.ones(len(lo))))
+    # this row's first Newton step leaves the bracket
+    with pytest.raises(VerificationError, match="length does not increase with the base radius"):
+        match_length(curve, target, cfg_bh)
+    # near the rim no row reaches the Newton tolerance: some step outside their
+    # brackets, the others stop on the bracket width, and either way their ends
+    # are evaluated before the row is reported
+    batch = run_trials(0.99, RandersConfig(0.0), PerturbationSpec(seed=42, epsilon=0.002, count=20))
+    assert sorted(batch.notes) == list(range(len(batch)))
+    assert all(note.startswith("length does not increase") for note in batch.notes.values())
+
+
 # -- trials -------------------------------------------------------------------
 
 def test_run_trials_all_decrease_and_deterministic(cfg_bh):
@@ -276,6 +317,43 @@ def test_trial_batch_keeps_under_200_bytes_per_trial(cfg_bh):
         tracemalloc.stop()
     assert len(batch) == 200
     assert kept <= 200 * len(batch)
+
+
+def count_trial_work(monkeypatch):
+    """Rows through the length integrand, the sampled admissibility check and the bracket ends."""
+    counts = Counter()
+
+    def counting(module, name, key, rows):
+        func = getattr(module, name)
+
+        def wrapped(*args):
+            counts[key] += rows(*args)
+            return func(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(isoperimetry, "length_integrand", "integrand", lambda points, *_: len(points))
+    counting(curves, "_admissible_rows", "sampled", lambda r, rd: len(r))
+    counting(isoperimetry, "_bracket_ends", "ends", lambda lo, *_: len(lo))
+    return counts
+
+
+def test_trials_skip_the_work_the_bound_and_the_lemma_make_redundant(cfg_bh, monkeypatch):
+    # every draw is cleared by the coefficient bound and every row converges
+    # inside its bracket, so no draw is sampled and no bracket end evaluated;
+    # a trial costs its Newton iterates, the first at the entry point, and
+    # one final measurement
+    counts = count_trial_work(monkeypatch)
+    batch = run_trials(0.5, cfg_bh, PerturbationSpec(epsilon=0.05, count=200))
+    assert batch.ok.all()
+    assert counts["sampled"] == 0 and counts["ends"] == 0
+    assert 0 < counts["integrand"] <= 5.5 * len(batch)
+    # the counters see that work where it is needed: large draws are sampled,
+    # and rows that start outside their bracket evaluate its ends
+    counts.clear()
+    run_trials(0.5, cfg_bh, PerturbationSpec(seed=3, epsilon=0.3, count=13))
+    run_trials(0.95, cfg_bh, PerturbationSpec(seed=1, epsilon=0.05, count=13))
+    assert counts["sampled"] > 0 and counts["ends"] > 0
 
 
 @pytest.mark.slow

@@ -24,8 +24,9 @@ def run_script(argv):
     [
         ["certify_grid.py", "--radii", "0.5", "--drifts", "0.3"],
         ["epsilon_scaling.py", "--levels", "2", "--trials", "3"],
+        ["trial_work.py", "--radii", "0.5", "--drifts", "0.3", "--trials", "20"],
     ],
-    ids=["certify_grid", "epsilon_scaling"],
+    ids=["certify_grid", "epsilon_scaling", "trial_work"],
 )
 def test_script_runs(argv):
     result = run_script(argv)
