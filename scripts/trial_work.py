@@ -6,8 +6,9 @@ evaluated on the quadrature nodes (matching and the final measurement),
 the draws checked on the sampled admissibility grid, and the rows whose
 bracket ends the matcher evaluated.  It counts by wrapping three kernels
 of the package from outside; the package has no counting switch.  The
-defaults are the perturb-grid workload's trials: 200 per pair, seed 1,
-epsilon 0.05, four harmonics, 1024 nodes.
+trials are the perturb-grid workload's: form bh, epsilon 0.05, four
+harmonics and 1024 nodes, by default 200 per pair at seed 1 on the nine
+pairs of radii 0.2, 0.5, 0.8 and drifts 0, 0.3, 0.7.
 """
 import argparse
 import sys
@@ -15,40 +16,52 @@ from collections import Counter
 
 from randers_disc import PerturbationSpec, QuadratureGrid, RandersConfig, curves, isoperimetry, run_trials
 
+FORM = "bh"
+EPSILON = 0.05
+# (module, kernel, counter, rows in one call); on the trial path every call
+# takes rows of samples, so the rows are the length of the first argument
+KERNELS = (
+    (isoperimetry, "length_integrand", "integrand", lambda points, *_: len(points)),
+    (curves, "_admissible_rows", "sampled", lambda r, rd: len(r)),
+    (isoperimetry, "_bracket_ends", "ends", lambda lo, *_: len(lo)),
+)
 
-def counting(counts: Counter, key: str, func, rows):
-    """func, adding rows(*args) to counts[key] on every call."""
-    def wrapped(*args, **kwargs):
-        counts[key] += rows(*args)
-        return func(*args, **kwargs)
 
-    return wrapped
+def count_trial_work(install=setattr) -> Counter:
+    """Wrap the kernels of KERNELS so that every call adds its rows to the returned counter.
+
+    install(module, name, wrapper) puts each wrapper in place; pytest's
+    monkeypatch.setattr undoes it after the test.
+    """
+    counts = Counter()
+
+    def counting(func, key, rows):
+        def wrapped(*args):
+            counts[key] += rows(*args)
+            return func(*args)
+
+        return wrapped
+
+    for module, name, key, rows in KERNELS:
+        install(module, name, counting(getattr(module, name), key, rows))
+    return counts
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--radii", type=float, nargs="+", default=[0.2, 0.5, 0.8])
     ap.add_argument("--drifts", type=float, nargs="+", default=[0.0, 0.3, 0.7])
-    ap.add_argument("--form", default="bh", choices=["bh", "ht", "max", "min"])
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--epsilon", type=float, default=0.05)
     args = ap.parse_args()
 
-    counts = Counter()
-    # rows of samples have shape (rows, nodes[, 2]); a single curve's samples count as one row
-    row_count = lambda samples, *_: len(samples) if samples.ndim > 2 else 1  # noqa: E731
-    isoperimetry.length_integrand = counting(counts, "integrand", isoperimetry.length_integrand, row_count)
-    curves._admissible_rows = counting(counts, "sampled", curves._admissible_rows,
-                                       lambda r, rd: len(r) if r.ndim > 1 else 1)
-    isoperimetry._bracket_ends = counting(counts, "ends", isoperimetry._bracket_ends, lambda lo, *_: len(lo))
-
-    spec = PerturbationSpec(seed=args.seed, epsilon=args.epsilon, count=args.trials)
+    counts = count_trial_work()
+    spec = PerturbationSpec(seed=args.seed, epsilon=EPSILON, count=args.trials)
     total = Counter()
     for a in args.radii:
         for b in args.drifts:
             counts.clear()
-            batch = run_trials(a, RandersConfig(b, args.form), spec, QuadratureGrid(1024))
+            batch = run_trials(a, RandersConfig(b, FORM), spec, QuadratureGrid(1024))
             per = {key: counts[key] / len(batch) for key in ("integrand", "sampled", "ends")}
             total.update(counts)
             print(f"a={a:<4} b={b:<4} integrand={per['integrand']:.3f}  "

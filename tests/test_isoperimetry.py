@@ -3,7 +3,6 @@ import gc
 import math
 import re
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from randers_disc import curves, isoperimetry
 from randers_disc.curves import TWO_PI, _harmonic_basis, _polar_frame, _radius_rows
 from randers_disc.functionals import _periodic_integral, length_integrand, signed_area_integrand
 from randers_disc.isoperimetry import _MATCH_STEPS, _NEWTON_TOL, MATCH_TOL, MATCH_WIDTH, TrialBatch
+from scripts.trial_work import count_trial_work
 from tests.conftest import GRID_A, GRID_B, rotated
 
 
@@ -319,31 +319,12 @@ def test_trial_batch_keeps_under_200_bytes_per_trial(cfg_bh):
     assert kept <= 200 * len(batch)
 
 
-def count_trial_work(monkeypatch):
-    """Rows through the length integrand, the sampled admissibility check and the bracket ends."""
-    counts = Counter()
-
-    def counting(module, name, key, rows):
-        func = getattr(module, name)
-
-        def wrapped(*args):
-            counts[key] += rows(*args)
-            return func(*args)
-
-        monkeypatch.setattr(module, name, wrapped)
-
-    counting(isoperimetry, "length_integrand", "integrand", lambda points, *_: len(points))
-    counting(curves, "_admissible_rows", "sampled", lambda r, rd: len(r))
-    counting(isoperimetry, "_bracket_ends", "ends", lambda lo, *_: len(lo))
-    return counts
-
-
 def test_trials_skip_the_work_the_bound_and_the_lemma_make_redundant(cfg_bh, monkeypatch):
     # every draw is cleared by the coefficient bound and every row converges
     # inside its bracket, so no draw is sampled and no bracket end evaluated;
     # a trial costs its Newton iterates, the first at the entry point, and
     # one final measurement
-    counts = count_trial_work(monkeypatch)
+    counts = count_trial_work(monkeypatch.setattr)
     batch = run_trials(0.5, cfg_bh, PerturbationSpec(epsilon=0.05, count=200))
     assert batch.ok.all()
     assert counts["sampled"] == 0 and counts["ends"] == 0
@@ -547,6 +528,31 @@ def test_match_rows_keep_their_own_iterations(cfg_bh):
         else:
             assert i not in errors and a0[i] == want
     assert sorted(errors) == [3, 4]
+
+
+def test_match_rows_keep_a0_exactly_where_the_reference_does(cfg_bh):
+    # the reference decides to keep a0 on r summed from a0, the matcher's
+    # first iterate sits at a0 + p; near |excess| = MATCH_TOL the two differ
+    # in their last bits and fall on either side of it at some scales
+    a, ts = 0.5, TWO_PI * np.arange(1024) / 1024
+    target = length(Circle(a), cfg_bh).value
+    c0, s0 = np.array([0.7, -0.3, 0.2]), np.array([0.4, 0.1, -0.5])
+
+    def excesses(t):
+        summed = reference_length(*reference_radius(a, t * c0, t * s0, ts), ts, cfg_bh) - target
+        p, pd = reference_radius(0.0, t * c0, t * s0, ts)
+        return summed, reference_length(a + p, pd, ts, cfg_bh) - target
+
+    lo, hi = 1e-7, 1e-3  # the excess grows like t^2 through MATCH_TOL
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if abs(excesses(mid)[1]) > MATCH_TOL else (mid, hi)
+    split = [t for t in lo * (1.0 + 1e-7 * np.arange(-20, 21))
+             if len({abs(e) <= MATCH_TOL for e in excesses(t)}) == 2]
+    assert split
+    for t in split:
+        want = reference_match(a, t * c0, t * s0, target, cfg_bh, ts)
+        assert match_length(PolarFourierCurve(a, tuple(t * c0), tuple(t * s0)), target, cfg_bh).a0 == want
 
 
 # -- deficit ------------------------------------------------------------------
