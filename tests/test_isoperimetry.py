@@ -24,7 +24,7 @@ from randers_disc import (
     length,
     run_trials,
 )
-from randers_disc import curves, isoperimetry
+from randers_disc import isoperimetry
 from randers_disc.curves import TWO_PI, _harmonic_basis, _polar_frame, _radius_rows
 from randers_disc.functionals import _periodic_integral, length_integrand, signed_area_integrand
 from randers_disc.isoperimetry import _MATCH_STEPS, _NEWTON_TOL, MATCH_TOL, MATCH_WIDTH, TrialBatch
