@@ -3,8 +3,9 @@
 
 For each pair it prints, per trial, the rows of the length integrand
 evaluated on the quadrature nodes (matching and the final measurement),
-the draws checked on the sampled admissibility grid, and the rows whose
-bracket ends the matcher evaluated.  It counts by wrapping three kernels
+the draws checked on the sampled admissibility grid, and ("ends") the rows
+the matcher reported as not bracketed, whose bracket ends it evaluates
+for the message.  It counts by wrapping three kernels
 of the package from outside; the package has no counting switch.  The
 trials are the perturb-grid workload's: form bh, epsilon 0.05, four
 harmonics and 1024 nodes, by default 200 per pair at seed 1 on the nine
