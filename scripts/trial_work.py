@@ -22,7 +22,7 @@ EPSILON = 0.05
 # (module, kernel, counter, rows in one call); on the trial path every call
 # takes rows of samples, so the rows are the length of the first argument
 KERNELS = (
-    (isoperimetry, "length_integrand", "integrand", lambda points, *_: len(points)),
+    (isoperimetry, "length_integrand", "integrand", lambda r, *_: len(r)),
     (curves, "_admissible_rows", "sampled", lambda r, rd: len(r)),
     (isoperimetry, "_bracket_ends", "ends", lambda lo, *_: len(lo)),
 )
@@ -37,9 +37,9 @@ def count_trial_work(install=setattr) -> Counter:
     counts = Counter()
 
     def counting(func, key, rows):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[key] += rows(*args)
-            return func(*args)
+            return func(*args, **kwargs)
 
         return wrapped
 

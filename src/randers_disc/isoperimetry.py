@@ -19,9 +19,14 @@ does not depend on the block it falls in.  Work a proof makes redundant
 is skipped: the entry check is Newton's first iterate, and a row's
 bracket ends are evaluated only to report a target out of its reach.  The
 circle is the row with no harmonics, checked before anything is drawn and
-measured by the same kernel and integrals as its trials.  cos t, sin t
-and the harmonic basis are built once per grid per call.  Results come
-back as a TrialBatch, which stores them by column.
+measured by the same kernel and integrals as its trials.  The harmonic
+basis is built once per grid per call.  Results come back as a
+TrialBatch, which stores them by column.
+
+Trials are measured on rows of (r, r') by the polar-graph integrands of
+functionals, with no Cartesian frame; the final measurement uses the
+radius summed from the matched a0, as length and area do, so every
+reported trial re-measures bitwise through its own curve.
 """
 from __future__ import annotations
 
@@ -33,19 +38,17 @@ import numpy as np
 
 from .config import RandersConfig
 from .curves import (
-    TWO_PI,
     Circle,
     PolarFourierCurve,
     _admissible,
     _coefficient_bound,
     _harmonic_basis,
-    _polar_frame,
     _radius_rows,
     require_admissible,
     require_radius,
 )
 from .errors import DomainError, VerificationError
-from .functionals import QuadratureGrid, _periodic_integral, length_integrand, signed_area_integrand
+from .functionals import QuadratureGrid, _trapezoid, length_integrand, signed_area_integrand
 
 MATCH_WIDTH = 1e-13       # unused here; perfbench/gate.py compares redrawn coefficients to it
 MATCH_TOL = 1e-10         # required |length - target| after matching
@@ -128,11 +131,6 @@ def _draw(spec: PerturbationSpec, a: float) -> np.ndarray:
     return coeffs
 
 
-def _frame(r: np.ndarray, rd: np.ndarray, basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Positions and velocities of rows of radius samples on the grid of basis."""
-    return _polar_frame(r, rd, basis[0][0], basis[1][0])
-
-
 def _bracket_ends(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, pd: np.ndarray,
                   gap) -> tuple[np.ndarray, np.ndarray]:
     """gap (L - target_L of rows of r, r') at the ends lo and hi of each row's bracket."""
@@ -175,22 +173,23 @@ def _match_rows(
     # holds by construction and the per-step check is skipped
     p, pd = _radius_rows(np.zeros(len(a0)), cos_c, sin_c, basis)
 
-    def gap(r: np.ndarray, rd: np.ndarray) -> np.ndarray:
-        """L - target_L of each row of radius samples."""
-        return _periodic_integral(length_integrand(*_frame(r, rd, basis), cfg))[0] - target_L
+    def gap(r: np.ndarray, rd: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+        """L - target_L of each row of radius samples; parts are hypot(r, r') and 1 - r*r if in hand."""
+        return _trapezoid(length_integrand(r, rd, cfg, *parts)) - target_L
 
     def excess(x: np.ndarray, p: np.ndarray, pd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """L - target_L and dL/da0 of the rows r = x + p.
 
         The drift one-form is exact, so its part of L does not depend on a0
         and the slope is the derivative of the alpha part alone:
-        d/da0 of 2|v|/(1 - r^2) with |v| = sqrt(r^2 + p'^2).
+        d/da0 of 2|v|/(1 - r^2) with |v| = sqrt(r^2 + p'^2).  The slope and
+        the integrand share |v| and 1 - r^2.
         """
         r = x[:, None] + p
         speed = np.hypot(r, pd)
         s = 1.0 - r * r
-        slope = TWO_PI * np.mean(2.0 * r / (speed * s) + 4.0 * r * speed / (s * s), axis=-1)
-        return gap(r, pd), slope
+        slope = _trapezoid(2.0 * r / (speed * s) + 4.0 * r * speed / (s * s))
+        return gap(r, pd, speed, s), slope
 
     bound = _coefficient_bound(cos_c, sin_c)
     lo, hi = bound + 1e-6, 1.0 - bound - 1e-6
@@ -304,10 +303,9 @@ def run_trials(
     basis = _harmonic_basis(grid.nodes, spec.harmonics)
 
     def measure(a0: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Randers length and area of coefficient rows at base radii a0."""
-        points, velocities = _frame(*_radius_rows(a0, rows[:, 0], rows[:, 1], basis), basis)
-        L = _periodic_integral(length_integrand(points, velocities, cfg))[0]
-        return L, cfg.kappa * _periodic_integral(signed_area_integrand(points, velocities))[0]
+        """Randers length and area of coefficient rows at base radii a0, as length and area measure them."""
+        r, rd = _radius_rows(a0, rows[:, 0], rows[:, 1], basis)
+        return _trapezoid(length_integrand(r, rd, cfg)), cfg.kappa * _trapezoid(signed_area_integrand(r))
 
     # the circle is the row with no harmonics, measured as its trials are
     (target_L,), (circle_A,) = measure(np.array([a]), np.zeros((1, 2, 0)))

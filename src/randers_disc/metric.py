@@ -63,19 +63,6 @@ def _drift_radius(q: np.ndarray) -> np.ndarray:
     return r
 
 
-def _randers_norm(points: np.ndarray, velocities: np.ndarray, b: float) -> np.ndarray:
-    """Unvalidated F = alpha + beta, for callers whose points are admissible
-    already; beta is left out when b = 0, where its formula fails at the origin."""
-    x1, x2 = points[..., 0], points[..., 1]
-    v1, v2 = velocities[..., 0], velocities[..., 1]
-    r2 = x1 * x1 + x2 * x2
-    s = 1.0 - r2
-    alpha = 2.0 * np.hypot(v1, v2) / s
-    if b == 0.0:
-        return alpha
-    return alpha + 2.0 * b * (x1 * v1 + x2 * v2) / (s * np.sqrt(r2))
-
-
 def beta_covector(p, cfg: RandersConfig) -> np.ndarray:
     """Drift covector b_i = 2b x_i / ((1 - r^2) r); identically zero when b = 0."""
     q = _as_point(p)
@@ -93,12 +80,21 @@ def potential(p, cfg: RandersConfig) -> np.ndarray:
 
 
 def finsler_norm(p, v, cfg: RandersConfig) -> np.ndarray:
-    """F = alpha + beta; positive for v != 0 whenever b < 1."""
+    """F = alpha + beta; positive for v != 0 whenever b < 1.
+
+    beta is left out when b = 0, where its formula fails at the origin.
+    """
     q = _as_point(p)
     w = _as_vector(v)
-    if cfg.b != 0.0:
-        _drift_radius(q)
-    return _randers_norm(q, w, cfg.b)
+    x1, x2 = q[..., 0], q[..., 1]
+    v1, v2 = w[..., 0], w[..., 1]
+    r2 = x1 * x1 + x2 * x2
+    s = 1.0 - r2
+    alpha = 2.0 * np.hypot(v1, v2) / s
+    if cfg.b == 0.0:
+        return alpha
+    _drift_radius(q)
+    return alpha + 2.0 * cfg.b * (x1 * v1 + x2 * v2) / (s * np.sqrt(r2))
 
 
 def christoffel(p) -> np.ndarray:

@@ -21,6 +21,7 @@ from randers_disc import (
     circle_closed_forms,
     cli,
     errors,
+    isoperimetry,
 )
 from randers_disc.cli import main
 from randers_disc.metric import check_metric
@@ -397,6 +398,17 @@ def test_perturb_noise_floor_reports_failure(tmp_path):
     assert rc == 1
     rows = out.read_text().splitlines()[2:]
     assert any(r.split(",")[-1] == "0" for r in rows)
+
+
+def test_perturb_reports_stalled_matching_as_failure(tmp_path, monkeypatch):
+    # with one Newton step per row no trial reaches its target length
+    monkeypatch.setattr(isoperimetry, "_MATCH_STEPS", 1)
+    rc, out = run(["perturb", "--a", "0.5", "--b", "0.3", "--form", "bh", "--trials", "4"], tmp_path)
+    assert rc == 1
+    rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
+    assert len(rows) == 4
+    for cells in rows:
+        assert cells[-1] == "0" and all(math.isnan(float(x)) for x in cells[1:-1])
 
 
 # -- check-metric -------------------------------------------------------------

@@ -81,12 +81,19 @@ def test_max_min_area_ratio():
     assert hi / lo == pytest.approx(((1 + b) / (1 - b)) ** 3, rel=1e-13)
 
 
+def green_area_integrand(points, velocities):
+    """The Cartesian Green form 2 (x1 v2 - x2 v1) / (1 - |x|^2): the oracle of the polar area kernel."""
+    r2 = points[..., 0] ** 2 + points[..., 1] ** 2
+    cross = points[..., 0] * velocities[..., 1] - points[..., 1] * velocities[..., 0]
+    return 2.0 * cross / (1.0 - r2)
+
+
 def test_signed_area_is_orientation_odd():
     curve = PolarFourierCurve(0.5, (0.03,), (0.0,))
     ts = QuadratureGrid(256).nodes
     pts, vel = curve.batch(ts)
-    forward = signed_area_integrand(pts, vel)
-    backward = signed_area_integrand(pts, -vel)
+    forward = green_area_integrand(pts, vel)
+    backward = green_area_integrand(pts, -vel)
     assert np.all(forward == -backward)
     assert forward.mean() > 0.0  # polar graphs are positively oriented
 
@@ -129,10 +136,41 @@ def test_circle_quadrature_matches_closed_forms_property(a, b, form):
     assert area(Circle(a), cfg).value == pytest.approx(closed["area"], rel=1e-10)
 
 
-@pytest.mark.parametrize("b", [0.0, 0.3, 0.99])
-def test_length_integrand_is_the_finsler_norm_bitwise(b):
-    cfg = RandersConfig(b)
-    curve = PolarFourierCurve(0.5, (0.05, -0.01, 0.02), (0.02, 0.005, -0.03))
-    points, velocities = curve.batch(QuadratureGrid().nodes)
-    integrand = length_integrand(points, velocities, cfg)
-    assert integrand.tolist() == finsler_norm(points, velocities, cfg).tolist()
+def rounding_ratios(b):
+    """|polar kernel - Cartesian form| in units of eps alpha / (1 - r^2), per node, over many curves.
+
+    The curves run from a0 = 1e-6 to the rim at 1 - 1e-6 with up to 8
+    harmonics, each drawn at half the distance to the origin or the rim;
+    the 1/(1 - r^2) is the rounding of the Cartesian 1 - |x|^2 there.
+    """
+    cfg, ts = RandersConfig(b), QuadratureGrid().nodes
+    rng = np.random.default_rng(28)
+    length_ratios, area_ratios = [], []
+    for a0 in (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6):
+        for harmonics in (0, 1, 4, 8):
+            coeffs = rng.uniform(-1.0, 1.0, (2, harmonics))
+            coeffs *= 0.5 * min(a0, 1.0 - a0) / max(np.abs(coeffs).sum(), 1.0)
+            curve = PolarFourierCurve(a0, *coeffs)
+            r, rd = curve.radius_batch(ts)
+            points, velocities = curve.batch(ts)
+            s = 1.0 - r * r
+            unit = np.finfo(float).eps * 2.0 * np.hypot(r, rd) / (s * s)
+            polar = length_integrand(r, rd, cfg)
+            length_ratios.append(np.abs(polar - finsler_norm(points, velocities, cfg)) / unit)
+            green = green_area_integrand(points, velocities)
+            area_ratios.append(np.abs(signed_area_integrand(r) - green) / unit)
+    return np.concatenate(length_ratios), np.concatenate(area_ratios)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.99, 0.999999])
+def test_length_integrand_is_the_finsler_norm_to_rounding(b):
+    # on a polar graph x . v = r r' and |v| = sqrt(r^2 + r'^2), so the polar
+    # kernel is the metric's norm up to the rounding of the Cartesian frame
+    length_ratios, _ = rounding_ratios(b)
+    assert np.max(length_ratios) <= 8.0
+
+
+def test_signed_area_integrand_is_the_green_form_to_rounding():
+    # on a polar graph x1 v2 - x2 v1 = r^2
+    _, area_ratios = rounding_ratios(0.0)
+    assert np.max(area_ratios) <= 8.0

@@ -25,9 +25,9 @@ from randers_disc import (
     run_trials,
 )
 from randers_disc import isoperimetry
-from randers_disc.curves import TWO_PI, _harmonic_basis, _polar_frame, _radius_rows
-from randers_disc.functionals import _periodic_integral, length_integrand, signed_area_integrand
-from randers_disc.isoperimetry import _MATCH_STEPS, _NEWTON_TOL, MATCH_TOL, TrialBatch
+from randers_disc.curves import TWO_PI, _harmonic_basis, _radius_rows
+from randers_disc.functionals import _trapezoid, length_integrand, signed_area_integrand
+from randers_disc.isoperimetry import _NEWTON_TOL, MATCH_TOL, TrialBatch
 from scripts.trial_work import count_trial_work
 from tests.conftest import GRID_A, GRID_B, rotated
 
@@ -197,8 +197,7 @@ def test_length_is_increasing_and_convex_in_the_base_radius(seed, harmonics, siz
     a0 = np.linspace(margin + 1e-6, 1.0 - margin - 1e-6, 64)
     basis = _harmonic_basis(QuadratureGrid().nodes, harmonics)
     p, pd = _radius_rows(np.zeros(1), c[None], s[None], basis)
-    points, velocities = _polar_frame(a0[:, None] + p, pd, basis[0][0], basis[1][0])
-    L = _periodic_integral(length_integrand(points, velocities, RandersConfig(b, form)))[0]
+    L = _trapezoid(length_integrand(a0[:, None] + p, pd, RandersConfig(b, form)))
     assert np.all(np.diff(L) > 0.0)
     assert np.all(np.diff(L, 2) > 0.0)
 
@@ -213,6 +212,18 @@ def test_match_length_reaches_the_roundoff_floor_near_the_rim():
     for r, curve in zip(batch, drawn_curves(spec, 0.99)):
         assert r.length_err <= MATCH_TOL
         assert abs(r.a0_matched - bisect_base_radius(curve, target, cfg)) <= MATCH_TOL
+
+
+def test_match_length_stalls_when_the_steps_run_out(cfg_bh, monkeypatch):
+    # one Newton step per row leaves every row short of its target: each is
+    # reported stalled, as the per-trial reference reports it, with NaN numbers
+    monkeypatch.setattr(isoperimetry, "_MATCH_STEPS", 1)
+    spec = PerturbationSpec(count=4)
+    batch = run_trials(0.5, cfg_bh, spec)
+    assert sorted(batch.notes) == [0, 1, 2, 3]
+    assert all(note.startswith("length matching stalled at |dL| = ") for note in batch.notes.values())
+    assert not batch.ok.any() and np.isnan(batch.numbers).all()
+    assert batch.notes == reference_trials(0.5, cfg_bh, spec)[2]
 
 
 # -- trials -------------------------------------------------------------------
@@ -277,6 +288,21 @@ def test_run_trials_records_failures(cfg_bh, monkeypatch):
         numbers = (r.a0_matched, r.length, r.area, r.length_err, r.delta_area, r.deficit)
         assert all(math.isnan(x) for x in numbers)
         assert r.curve == drawn  # the drawn coefficients at the drawn base radius
+
+
+@pytest.mark.parametrize("n, harmonics", [(1024, 4), (4096, 8)])
+@pytest.mark.parametrize("b, form", [(0.0, "ht"), (0.3, "bh"), (0.7, "min")])
+@pytest.mark.parametrize("a, epsilon", [(0.2, 0.05), (0.5, 0.05), (0.95, 0.01)])
+def test_each_trial_remeasures_bitwise_from_its_own_curve(a, epsilon, b, form, n, harmonics):
+    # the final measurement sums the radius from the matched a0, as length and
+    # area do, so a reported trial is reproduced exactly from its curve; near
+    # the rim a smaller epsilon keeps the targets within reach
+    cfg, grid = RandersConfig(b, form), QuadratureGrid(n)
+    batch = run_trials(a, cfg, PerturbationSpec(seed=1, harmonics=harmonics, epsilon=epsilon, count=8), grid)
+    assert not batch.notes
+    for r in batch:
+        assert length(r.curve, cfg, grid).value == r.length
+        assert area(r.curve, cfg, grid).value == r.area
 
 
 def test_trial_batch_is_a_sequence(cfg_bh):
@@ -399,13 +425,12 @@ def reference_draws(spec, a):
     return draws
 
 
-def reference_length(r, rd, ts, cfg):
-    points, velocities = _polar_frame(r, rd, np.cos(ts), np.sin(ts))
-    return length_integrand(points, velocities, cfg).mean() * TWO_PI
+def reference_length(r, rd, cfg):
+    return length_integrand(r, rd, cfg).mean() * TWO_PI
 
 
 def reference_match(a0, c, s, target, cfg, ts):
-    if abs(reference_length(*reference_radius(a0, c, s, ts), ts, cfg) - target) <= MATCH_TOL:
+    if abs(reference_length(*reference_radius(a0, c, s, ts), cfg) - target) <= MATCH_TOL:
         return a0
     margin = float(sum(abs(x) for x in c) + sum(abs(x) for x in s))
     lo, hi = margin + 1e-6, 1.0 - margin - 1e-6
@@ -418,7 +443,7 @@ def reference_match(a0, c, s, target, cfg, ts):
         speed = np.hypot(r, pd)
         w = 1.0 - r * r
         slope = TWO_PI * np.mean(2.0 * r / (speed * w) + 4.0 * r * speed / (w * w))
-        return reference_length(r, pd, ts, cfg) - target, slope
+        return reference_length(r, pd, cfg) - target, slope
 
     def not_bracketed():
         f_lo, f_hi = excess(lo)[0], excess(hi)[0]
@@ -429,7 +454,7 @@ def reference_match(a0, c, s, target, cfg, ts):
 
     x = a0 if lo < a0 < hi else hi
     right = False  # f has been > 0
-    for _ in range(_MATCH_STEPS):
+    for _ in range(isoperimetry._MATCH_STEPS):
         f, slope = excess(x)
         step = x - f / slope
         if abs(f) <= _NEWTON_TOL or (right and f <= 0.0) or step == x:
@@ -458,9 +483,8 @@ def reference_trials(a, cfg, spec, n=1024):
             notes[index] = str(exc)
             continue
         r, rd = reference_radius(a0, c, s, ts)
-        points, velocities = _polar_frame(r, rd, np.cos(ts), np.sin(ts))
-        L = length_integrand(points, velocities, cfg).mean() * TWO_PI
-        A = cfg.kappa * (signed_area_integrand(points, velocities).mean() * TWO_PI)
+        L = reference_length(r, rd, cfg)
+        A = cfg.kappa * (signed_area_integrand(r).mean() * TWO_PI)
         delta = A - circle_A
         numbers[index] = (a0, L, A, abs(L - target), delta, deficit_value(L, A, cfg))
         ok[index] = delta < isoperimetry.STRICT_DECREASE or not (np.any(c) or np.any(s))
@@ -542,9 +566,9 @@ def test_match_rows_keep_a0_exactly_where_the_reference_does(cfg_bh):
     c0, s0 = np.array([0.7, -0.3, 0.2]), np.array([0.4, 0.1, -0.5])
 
     def excesses(t):
-        summed = reference_length(*reference_radius(a, t * c0, t * s0, ts), ts, cfg_bh) - target
+        summed = reference_length(*reference_radius(a, t * c0, t * s0, ts), cfg_bh) - target
         p, pd = reference_radius(0.0, t * c0, t * s0, ts)
-        return summed, reference_length(a + p, pd, ts, cfg_bh) - target
+        return summed, reference_length(a + p, pd, cfg_bh) - target
 
     lo, hi = 1e-7, 1e-3  # the excess grows like t^2 through MATCH_TOL
     for _ in range(50):
