@@ -2,7 +2,8 @@
 """Count the work run_trials does per trial at each (radius, drift) pair.
 
 For each pair it prints, per trial, the rows of the length integrand
-evaluated on the quadrature nodes (matching and the final measurement),
+evaluated on the quadrature nodes by the matcher (a trial is measured
+where the matcher stopped, so there is no further length evaluation),
 the draws checked on the sampled admissibility grid, and ("ends") the rows
 the matcher reported as not bracketed, whose bracket ends it evaluates
 for the message.  It counts by wrapping three kernels

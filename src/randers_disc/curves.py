@@ -64,23 +64,23 @@ def _harmonic_basis(ts: np.ndarray, harmonics: int) -> tuple[np.ndarray, np.ndar
 
 def _radius_rows(a0: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray,
                  basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """r and r' of polar Fourier rows on the grid of basis, shape (rows,) + grid shape each.
+    """r = a0 + p and r' = p' of polar Fourier rows on the grid of basis, shape (rows,) + grid shape each.
 
     Row i has base radius a0[i] and coefficients cos_coeffs[i], sin_coeffs[i]
-    (shape (rows, K)); the harmonics are summed in order k = 1..K, so a row
+    (shape (rows, K)).  The harmonics are summed into p in order k = 1..K and
+    a0 is added last, so r has the bits of a0 + p whatever a0 is, and a row
     comes out the same whatever rows share its call.
     """
     cos_k, sin_k = basis
     column = (slice(None),) + (None,) * (cos_k.ndim - 1)
-    r = np.empty((len(a0),) + cos_k.shape[1:])
-    r[...] = a0[column]
-    rd = np.zeros(r.shape)
+    p = np.zeros((len(a0),) + cos_k.shape[1:])
+    rd = np.zeros(p.shape)
     for k in range(cos_coeffs.shape[1]):
         c, s = cos_k[k], sin_k[k]
         ck, sk = cos_coeffs[:, k][column], sin_coeffs[:, k][column]
-        r += ck * c + sk * s
+        p += ck * c + sk * s
         rd += (k + 1) * (sk * c - ck * s)
-    return r, rd
+    return a0[column] + p, rd
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,15 +18,16 @@ and stops.  Every row gets the arithmetic it would get alone, so a trial
 does not depend on the block it falls in.  Work a proof makes redundant
 is skipped: the entry check is Newton's first iterate, and a row's
 bracket ends are evaluated only to report a target out of its reach.  The
-circle is the row with no harmonics, checked before anything is drawn and
-measured by the same kernel and integrals as its trials.  The harmonic
-basis is built once per grid per call.  Results come back as a
+circle is measured by length and area before anything is drawn.  The
+harmonic basis is built once per grid per call.  Results come back as a
 TrialBatch, which stores them by column.
 
-Trials are measured on rows of (r, r') by the polar-graph integrands of
-functionals, with no Cartesian frame; the final measurement uses the
-radius summed from the matched a0, as length and area do, so every
-reported trial re-measures bitwise through its own curve.
+Every polar curve's radius is a0 + p, the harmonics summed into p first,
+so the matcher, length and area see the same bits at the same base
+radius.  A trial is measured where its matcher stopped: its length is the
+one the matcher last evaluated, by the polar-graph integrands of
+functionals on rows of (r, r'), and its area is taken on the same radius,
+so every reported trial re-measures bitwise through its own curve.
 """
 from __future__ import annotations
 
@@ -37,18 +38,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from .config import RandersConfig
-from .curves import (
-    Circle,
-    PolarFourierCurve,
-    _admissible,
-    _coefficient_bound,
-    _harmonic_basis,
-    _radius_rows,
-    require_admissible,
-    require_radius,
-)
+from .curves import Circle, PolarFourierCurve, _admissible, _coefficient_bound, _harmonic_basis, _radius_rows
 from .errors import DomainError, VerificationError
-from .functionals import QuadratureGrid, _trapezoid, length_integrand, signed_area_integrand
+from .functionals import QuadratureGrid, _trapezoid, area, length, length_integrand, signed_area_integrand
 
 MATCH_WIDTH = 1e-13       # unused here; perfbench/gate.py compares redrawn coefficients to it
 MATCH_TOL = 1e-10         # required |length - target| after matching
@@ -139,21 +131,23 @@ def _bracket_ends(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, pd: np.ndarray,
 
 def _match_rows(
     a0: np.ndarray,
-    coeffs: np.ndarray,
+    p: np.ndarray,
+    pd: np.ndarray,
+    bound: np.ndarray,
     target_L: float,
     cfg: RandersConfig,
-    basis: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, dict[int, VerificationError]]:
-    """Matched base radius of each row, and the error of each row that failed.
+) -> tuple[np.ndarray, np.ndarray, dict[int, VerificationError]]:
+    """Matched base radius and length of each row, and the error of each row that failed.
 
-    Row i is the curve with base radius a0[i] and coefficients coeffs[i]
-    (cosines, sines), admissible already; basis is the harmonic basis on the
-    quadrature nodes.  Rows run side by side but never mix: each keeps its
-    own iterate, stops and step cap.  A row already within MATCH_TOL, on its
-    radius summed from a0, keeps its a0 (the circle is an exact fixed
-    point).  Otherwise Newton starts at a0, its entry point at a0 + p, if a0
-    lies inside the bracket [lo, hi] = [M + 1e-6, 1 - M - 1e-6] (M the
-    coefficient bound), else at hi.  A failed row's radius is meaningless.
+    Row i is the curve r = a0[i] + p[i], r' = pd[i] on the quadrature nodes,
+    admissible already, and bound[i] is its coefficient bound M.  Rows run
+    side by side but never mix: each keeps its own iterate, stops and step
+    cap.  A row's length is the last one the matcher evaluated, at the
+    radius it returns, so it is what length measures on the matched curve.
+    A row already within MATCH_TOL keeps its a0 (the circle is an exact
+    fixed point).  Otherwise Newton starts at a0 if a0 lies inside the
+    bracket [lo, hi] = [M + 1e-6, 1 - M - 1e-6], else at hi.  A failed
+    row's radius and length are meaningless.
 
     f = L(a0 + p) - target_L is increasing and convex in a0: the alpha part
     2w/s of the integrand, with w = sqrt(r^2 + r'^2) and s = 1 - r^2, is a
@@ -162,23 +156,23 @@ def _match_rows(
     decreases monotonically to it, and one step from the left lands right
     of it.  A step at or past hi restarts at hi.  A row stops when
     |f| <= _NEWTON_TOL, when its step no longer moves it, or when f turns
-    <= 0 after having been > 0, which from the right is roundoff; it is
-    matched if |f| <= MATCH_TOL, else stalled.  It is not bracketed when
-    f <= 0 at hi, when a step from the right lands at or below lo, or when
-    f is NaN; only then are its bracket ends evaluated, for the message.
+    <= 0 after having been > 0, which from the right is roundoff; a row
+    that uses up _MATCH_STEPS is evaluated once more where its last step
+    took it.  It is matched if |f| <= MATCH_TOL, else stalled.  It is not
+    bracketed when f <= 0 at hi, when a step from the right lands at or
+    below lo, or when f is NaN; only then are its bracket ends evaluated,
+    for the message.
     """
-    cos_c, sin_c = coeffs[:, 0], coeffs[:, 1]
-    # r = a0 + p with p independent of a0, so p and p' are sampled once; within
-    # the bracket the radius stays inside [a0 - M, a0 + M], so admissibility
-    # holds by construction and the per-step check is skipped
-    p, pd = _radius_rows(np.zeros(len(a0)), cos_c, sin_c, basis)
+    def lengths(r: np.ndarray, rd: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+        """L of each row of radius samples; parts are hypot(r, r') and 1 - r*r if in hand."""
+        return _trapezoid(length_integrand(r, rd, cfg, *parts))
 
-    def gap(r: np.ndarray, rd: np.ndarray, *parts: np.ndarray) -> np.ndarray:
-        """L - target_L of each row of radius samples; parts are hypot(r, r') and 1 - r*r if in hand."""
-        return _trapezoid(length_integrand(r, rd, cfg, *parts)) - target_L
+    def gap(r: np.ndarray, rd: np.ndarray) -> np.ndarray:
+        """L - target_L of each row of radius samples."""
+        return lengths(r, rd) - target_L
 
-    def excess(x: np.ndarray, p: np.ndarray, pd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """L - target_L and dL/da0 of the rows r = x + p.
+    def measure(x: np.ndarray, p: np.ndarray, pd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L and dL/da0 of the rows r = x + p.
 
         The drift one-form is exact, so its part of L does not depend on a0
         and the slope is the derivative of the alpha part alone:
@@ -189,34 +183,27 @@ def _match_rows(
         speed = np.hypot(r, pd)
         s = 1.0 - r * r
         slope = _trapezoid(2.0 * r / (speed * s) + 4.0 * r * speed / (s * s))
-        return gap(r, pd, speed, s), slope
+        return lengths(r, pd, speed, s), slope
 
-    bound = _coefficient_bound(cos_c, sin_c)
     lo, hi = bound + 1e-6, 1.0 - bound - 1e-6
-    f, slope = excess(a0, p, pd)
-    away = ~(np.abs(f) <= MATCH_TOL)
-    # whether a row keeps a0 is decided on r summed from a0, as the curve's own
-    # radius is; a0 + p differs from it in the last bits, which move the excess
-    # by far less than MATCH_TOL / 2 (at most 4.5e-13 over 130 000 trials with
-    # a up to 0.99), so only rows this close to MATCH_TOL are evaluated again
-    close = np.flatnonzero((0.5 * MATCH_TOL <= np.abs(f)) & (np.abs(f) <= 2.0 * MATCH_TOL))
-    if len(close):
-        away[close] = ~(np.abs(gap(*_radius_rows(a0[close], cos_c[close], sin_c[close], basis))) <= MATCH_TOL)
+    L, slope = measure(a0, p, pd)
+    away = ~(np.abs(L - target_L) <= MATCH_TOL)
     errors = {}
     for i in np.flatnonzero(away & ~(lo < hi)).tolist():
         errors[i] = VerificationError(f"no admissible base-radius interval for margin {bound[i].item()}")
     todo = np.flatnonzero(away & (lo < hi))
-    matched = a0.copy()
+    matched, measured = a0.copy(), L
     if not len(todo):
-        return matched, errors
+        return matched, measured, errors
 
-    # from here on, arrays hold the rows of todo
-    x, f, slope, p, pd, lo, hi = a0[todo], f[todo], slope[todo], p[todo], pd[todo], lo[todo], hi[todo]
+    # from here on, arrays hold the rows of todo; within the bracket the radius
+    # stays inside [a0 - M, a0 + M], so admissibility holds by construction
+    x, L, slope, p, pd, lo, hi = a0[todo], L[todo], slope[todo], p[todo], pd[todo], lo[todo], hi[todo]
     todo = todo.tolist()
     outside = np.flatnonzero(~((lo < x) & (x < hi)))
     if len(outside):
         x[outside] = hi[outside]
-        f[outside], slope[outside] = excess(x[outside], p[outside], pd[outside])
+        L[outside], slope[outside] = measure(x[outside], p[outside], pd[outside])
     right = np.zeros(len(todo), dtype=bool)  # f has been > 0: the row is right of its root
     unbracketed = np.zeros(len(todo), dtype=bool)
     live = np.arange(len(todo))
@@ -224,8 +211,8 @@ def _match_rows(
         if not len(live):
             break
         if iterate:  # the first iterate's excess is in hand
-            f[live], slope[live] = excess(x[live], p[live], pd[live])
-        x_l, f_l, hi_l = x[live], f[live], hi[live]
+            L[live], slope[live] = measure(x[live], p[live], pd[live])
+        x_l, f_l, hi_l = x[live], L[live] - target_L, hi[live]
         step = x_l - f_l / slope[live]
         done = (np.abs(f_l) <= _NEWTON_TOL) | (right[live] & (f_l <= 0.0)) | (step == x_l)
         unbracketed[live] = ~done & (np.isnan(f_l) | ((x_l >= hi_l) & (f_l <= 0.0)) | (step <= lo[live]))
@@ -233,7 +220,9 @@ def _match_rows(
         stop = done | unbracketed[live]
         x[live] = np.where(stop, x_l, np.where(step < hi_l, step, hi_l))
         live = live[~stop]
-    matched[todo] = x
+    if len(live):  # rows that used up their steps are measured where they end
+        L[live] = lengths(x[live, None] + p[live], pd[live])
+    matched[todo], measured[todo] = x, L
     ends = np.flatnonzero(unbracketed)
     if len(ends):
         at_lo, at_hi = _bracket_ends(lo[ends], hi[ends], p[ends], pd[ends], gap)
@@ -241,9 +230,10 @@ def _match_rows(
             errors[todo[j]] = VerificationError(
                 f"target length {target_L} not bracketed on [{lo[j].item()}, {hi[j].item()}] "
                 f"(excess {e_lo:.3e} and {e_hi:.3e})")
+    f = L - target_L
     for j in np.flatnonzero(~unbracketed & ~(np.abs(f) <= MATCH_TOL)).tolist():
         errors[todo[j]] = VerificationError(f"length matching stalled at |dL| = {abs(f[j]):.3e}")
-    return matched, errors
+    return matched, measured, errors
 
 
 def deficit_value(length_value: float, area_value: float, cfg: RandersConfig) -> float:
@@ -295,36 +285,31 @@ def run_trials(
     Matching failures do not abort the batch; the trial is marked not-ok
     with NaN metrics and the error message in its note.
     """
-    require_radius(a)
-    # the circle is checked before its perturbations, so a radius within the
+    # the circle is measured before anything is drawn, so a radius within the
     # admissibility margin of 0 or 1 is named as such rather than blamed on epsilon
-    require_admissible(Circle(a))
+    target_L = length(Circle(a), cfg, grid).value
+    circle_A = area(Circle(a), cfg, grid).value
     coeffs = _draw(spec, a)
     basis = _harmonic_basis(grid.nodes, spec.harmonics)
-
-    def measure(a0: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Randers length and area of coefficient rows at base radii a0, as length and area measure them."""
-        r, rd = _radius_rows(a0, rows[:, 0], rows[:, 1], basis)
-        return _trapezoid(length_integrand(r, rd, cfg)), cfg.kappa * _trapezoid(signed_area_integrand(r))
-
-    # the circle is the row with no harmonics, measured as its trials are
-    (target_L,), (circle_A,) = measure(np.array([a]), np.zeros((1, 2, 0)))
     numbers = np.full((spec.count, len(TrialBatch.FIELDS)), math.nan)
     ok = np.zeros(spec.count, dtype=bool)
     notes = {}
     for start in range(0, spec.count, _MATCH_ROWS):
         block = coeffs[start:start + _MATCH_ROWS]
-        a0, errors = _match_rows(np.full(len(block), a), block, target_L, cfg, basis)
+        cos_c, sin_c = block[:, 0], block[:, 1]
+        # r = a0 + p with p independent of a0, so p and p' are sampled once per block
+        p, pd = _radius_rows(np.zeros(len(block)), cos_c, sin_c, basis)
+        a0, L, errors = _match_rows(np.full(len(block), a), p, pd, _coefficient_bound(cos_c, sin_c),
+                                    target_L, cfg)
         for row, exc in errors.items():
             notes[start + row] = str(exc)
         good = [row for row in range(len(block)) if row not in errors]
         if not good:
             continue
-        # the drawn curves were checked once and the matched ones stay inside
-        # the matching bracket, so length and area share one evaluation
-        # without a further check
-        a0 = a0[good]
-        L, A = measure(a0, block[good])
+        # the matcher's last length is at the matched radius; the area is taken
+        # on the same r = a0 + p, which stays inside the matching bracket
+        a0, L = a0[good], L[good]
+        A = cfg.kappa * _trapezoid(signed_area_integrand(a0[:, None] + p[good]))
         delta = A - circle_A
         index = [start + row for row in good]
         numbers[index] = np.stack(

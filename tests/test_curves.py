@@ -142,15 +142,19 @@ def test_radius_batch_matches_the_direct_harmonic_sum(rng):
 
 
 def test_radius_rows_equal_one_curve_at_a_time_bitwise(rng):
-    # rows of one kernel call never mix: each equals its curve evaluated alone
+    # rows of one kernel call never mix: each equals its curve evaluated alone,
+    # and every radius is a0 + p, with p the same curve's radius at base 0
     a0 = rng.uniform(0.3, 0.7, 5)
     cos_c, sin_c = rng.uniform(-0.02, 0.02, (2, 5, 4))
     ts = rng.uniform(0.0, 20.0, (3, 11))
     r, rd = _radius_rows(a0, cos_c, sin_c, _harmonic_basis(ts, 4))
     assert r.shape == rd.shape == (5, 3, 11)
     for i in range(5):
-        r_i, rd_i = PolarFourierCurve(a0[i], cos_c[i], sin_c[i]).radius_batch(ts)
+        curve = PolarFourierCurve(a0[i], cos_c[i], sin_c[i])
+        r_i, rd_i = curve.radius_batch(ts)
         assert np.array_equal(r[i], r_i) and np.array_equal(rd[i], rd_i)
+        p, pd = curve.with_base_radius(0.0).radius_batch(ts)
+        assert np.array_equal(r_i, a0[i] + p) and np.array_equal(rd_i, pd)
 
 
 def test_fourier_batch_reuses_the_kernel_cos_and_sin_bitwise(rng):

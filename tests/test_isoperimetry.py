@@ -25,7 +25,7 @@ from randers_disc import (
     run_trials,
 )
 from randers_disc import isoperimetry
-from randers_disc.curves import TWO_PI, _harmonic_basis, _radius_rows
+from randers_disc.curves import TWO_PI, _coefficient_bound, _harmonic_basis, _radius_rows
 from randers_disc.functionals import _trapezoid, length_integrand, signed_area_integrand
 from randers_disc.isoperimetry import _NEWTON_TOL, MATCH_TOL, TrialBatch
 from scripts.trial_work import count_trial_work
@@ -94,10 +94,18 @@ def test_generation_independent_of_count_prefix(cfg_bh):
 #    The block matcher on one row: the curve at its matched base radius, or
 #    the row's error raised.
 
+def match_rows(curves, target, cfg, n=1024):
+    """_match_rows on the rows of curves, given their p, p' and coefficient bound as run_trials gives them."""
+    cos_c = np.array([c.cos_coeffs for c in curves])
+    sin_c = np.array([c.sin_coeffs for c in curves])
+    basis = _harmonic_basis(QuadratureGrid(n).nodes, cos_c.shape[1])
+    p, pd = _radius_rows(np.zeros(len(curves)), cos_c, sin_c, basis)
+    a0 = np.array([c.a0 for c in curves])
+    return isoperimetry._match_rows(a0, p, pd, _coefficient_bound(cos_c, sin_c), target, cfg)
+
+
 def match_length(curve, target, cfg, n=1024):
-    coeffs = np.array([[curve.cos_coeffs, curve.sin_coeffs]])
-    basis = _harmonic_basis(QuadratureGrid(n).nodes, curve.harmonics)
-    a0, errors = isoperimetry._match_rows(np.array([curve.a0]), coeffs, target, cfg, basis)
+    a0, _, errors = match_rows([curve], target, cfg, n)
     if errors:
         raise errors[0]
     return curve.with_base_radius(a0[0])
@@ -216,14 +224,31 @@ def test_match_length_reaches_the_roundoff_floor_near_the_rim():
 
 def test_match_length_stalls_when_the_steps_run_out(cfg_bh, monkeypatch):
     # one Newton step per row leaves every row short of its target: each is
-    # reported stalled, as the per-trial reference reports it, with NaN numbers
+    # reported stalled, as the per-trial reference reports it, with NaN
+    # numbers and the excess where its step took it, not where it entered
     monkeypatch.setattr(isoperimetry, "_MATCH_STEPS", 1)
     spec = PerturbationSpec(count=4)
     batch = run_trials(0.5, cfg_bh, spec)
     assert sorted(batch.notes) == [0, 1, 2, 3]
     assert all(note.startswith("length matching stalled at |dL| = ") for note in batch.notes.values())
+    assert batch.notes[0] == "length matching stalled at |dL| = 1.294e-03"  # 1.442e-01 on entry
     assert not batch.ok.any() and np.isnan(batch.numbers).all()
     assert batch.notes == reference_trials(0.5, cfg_bh, spec)[2]
+
+
+def test_rows_that_use_up_their_steps_are_measured_where_they_end(cfg_bh, monkeypatch):
+    # every row takes all three Newton steps, and the last takes it to within
+    # MATCH_TOL of its target: the rows are matched, measured once more at
+    # the radius that step reached, as the per-trial reference matches them
+    monkeypatch.setattr(isoperimetry, "_MATCH_STEPS", 3)
+    counts = count_trial_work(monkeypatch.setattr)
+    spec = PerturbationSpec(seed=42, count=20)
+    batch = run_trials(0.5, cfg_bh, spec)
+    assert batch.notes == {} and batch.ok.all()
+    assert counts["integrand"] == (3 + 1) * len(batch)
+    assert batch.numbers.tobytes() == reference_trials(0.5, cfg_bh, spec)[0].tobytes()
+    for r in batch:
+        assert length(r.curve, cfg_bh).value == r.length
 
 
 # -- trials -------------------------------------------------------------------
@@ -276,8 +301,8 @@ def test_run_trials_rotation_invariance(cfg_bh):
 
 
 def test_run_trials_records_failures(cfg_bh, monkeypatch):
-    def boom(a0, coeffs, target_L, cfg, basis):
-        return a0, {row: VerificationError("no admissible bracket") for row in range(len(a0))}
+    def boom(a0, p, pd, bound, target_L, cfg):
+        return a0, a0, {row: VerificationError("no admissible bracket") for row in range(len(a0))}
 
     monkeypatch.setattr(isoperimetry, "_match_rows", boom)
     spec = PerturbationSpec(count=2)
@@ -292,11 +317,12 @@ def test_run_trials_records_failures(cfg_bh, monkeypatch):
 
 @pytest.mark.parametrize("n, harmonics", [(1024, 4), (4096, 8)])
 @pytest.mark.parametrize("b, form", [(0.0, "ht"), (0.3, "bh"), (0.7, "min")])
-@pytest.mark.parametrize("a, epsilon", [(0.2, 0.05), (0.5, 0.05), (0.95, 0.01)])
+@pytest.mark.parametrize("a, epsilon", [(0.2, 0.05), (0.5, 0.05), (0.95, 0.01), (0.99, 0.002)])
 def test_each_trial_remeasures_bitwise_from_its_own_curve(a, epsilon, b, form, n, harmonics):
-    # the final measurement sums the radius from the matched a0, as length and
-    # area do, so a reported trial is reproduced exactly from its curve; near
-    # the rim a smaller epsilon keeps the targets within reach
+    # a trial is measured on r = a0 + p where its matcher stopped, and length
+    # and area sum the same radius, so a reported trial is reproduced exactly
+    # from its curve; near the rim a smaller epsilon keeps the targets within
+    # reach, and at 0.99 rows stop on a frozen step or a turned excess
     cfg, grid = RandersConfig(b, form), QuadratureGrid(n)
     batch = run_trials(a, cfg, PerturbationSpec(seed=1, harmonics=harmonics, epsilon=epsilon, count=8), grid)
     assert not batch.notes
@@ -346,19 +372,19 @@ def test_trial_batch_keeps_under_200_bytes_per_trial(cfg_bh):
 def test_trials_skip_the_work_the_bound_and_the_lemma_make_redundant(cfg_bh, monkeypatch):
     # every draw is cleared by the coefficient bound and every row reaches its
     # target, so no draw is sampled and no bracket end evaluated; a trial
-    # costs its Newton iterates, the first at the entry point, and one final
-    # measurement
+    # costs its Newton iterates, the first at the entry point, and is measured
+    # where they stop
     counts = count_trial_work(monkeypatch.setattr)
     batch = run_trials(0.5, cfg_bh, PerturbationSpec(epsilon=0.05, count=200))
     assert batch.ok.all()
     assert counts["sampled"] == 0 and counts["ends"] == 0
-    assert 0 < counts["integrand"] <= 5.5 * len(batch)
+    assert 0 < counts["integrand"] <= 4.5 * len(batch)
     # near the rim the excess cannot reach _NEWTON_TOL; rows stop on roundoff
     # within a step or two of it instead of iterating on
     counts.clear()
     batch = run_trials(0.95, cfg_bh, PerturbationSpec(seed=42, epsilon=0.01, count=40))
     assert batch.ok.all()
-    assert counts["ends"] == 0 and 0 < counts["integrand"] <= 6 * len(batch)
+    assert counts["ends"] == 0 and 0 < counts["integrand"] <= 5 * len(batch)
     # the counters see that work where it is needed: large draws are sampled,
     # and rows whose target is out of reach evaluate their bracket ends
     counts.clear()
@@ -391,16 +417,17 @@ def test_trial_working_set_does_not_grow_with_count(cfg_bh):
 #    draws and matches in blocks, must agree with it bitwise.
 
 def reference_radius(a0, cos_c, sin_c, ts):
+    """r = a0 + p and r' = p', the harmonics summed into p first."""
     c1, s1 = np.cos(ts), np.sin(ts)
     c, s = c1, s1
-    r = np.full(ts.shape, a0)
+    p = np.zeros(ts.shape)
     rd = np.zeros(ts.shape)
     for k in range(len(cos_c)):
         if k:
             c, s = c * c1 - s * s1, s * c1 + c * s1
-        r += cos_c[k] * c + sin_c[k] * s
+        p += cos_c[k] * c + sin_c[k] * s
         rd += (k + 1) * (sin_c[k] * c - cos_c[k] * s)
-    return r, rd
+    return a0 + p, rd
 
 
 def reference_draws(spec, a):
@@ -463,6 +490,8 @@ def reference_match(a0, c, s, target, cfg, ts):
             raise not_bracketed()
         right = right or f > 0.0
         x = step if step < hi else hi
+    else:  # the steps ran out: the row is judged where the last one took it
+        f = excess(x)[0]
     if not abs(f) <= MATCH_TOL:
         raise VerificationError(f"length matching stalled at |dL| = {abs(f):.3e}")
     return x
@@ -544,9 +573,7 @@ def test_match_rows_keep_their_own_iterations(cfg_bh):
     ]
     target = length(curves[0].with_base_radius(0.98), cfg_bh).value
     ts = TWO_PI * np.arange(1024) / 1024
-    a0, errors = isoperimetry._match_rows(
-        np.array([c.a0 for c in curves]), np.array([[c.cos_coeffs, c.sin_coeffs] for c in curves]),
-        target, cfg_bh, _harmonic_basis(ts, 1))
+    a0, L, errors = match_rows(curves, target, cfg_bh)
     for i, c in enumerate(curves):
         try:
             want = reference_match(c.a0, np.array(c.cos_coeffs), np.array(c.sin_coeffs), target, cfg_bh, ts)
@@ -554,32 +581,35 @@ def test_match_rows_keep_their_own_iterations(cfg_bh):
             assert str(errors[i]) == str(exc)
         else:
             assert i not in errors and a0[i] == want
+            assert L[i] == length(c.with_base_radius(want), cfg_bh).value
     assert sorted(errors) == [3]
 
 
 def test_match_rows_keep_a0_exactly_where_the_reference_does(cfg_bh):
-    # the reference decides to keep a0 on r summed from a0, the matcher's
-    # first iterate sits at a0 + p; near |excess| = MATCH_TOL the two differ
-    # in their last bits and fall on either side of it at some scales
+    # the matcher's entry check, length and the reference sum one radius,
+    # a0 + p, so at the scales around the crossing of |excess| = MATCH_TOL,
+    # where the last bits decide, a row keeps its a0 exactly when length puts
+    # it within MATCH_TOL, and matches as the reference does
     a, ts = 0.5, TWO_PI * np.arange(1024) / 1024
     target = length(Circle(a), cfg_bh).value
     c0, s0 = np.array([0.7, -0.3, 0.2]), np.array([0.4, 0.1, -0.5])
 
-    def excesses(t):
-        summed = reference_length(*reference_radius(a, t * c0, t * s0, ts), cfg_bh) - target
-        p, pd = reference_radius(0.0, t * c0, t * s0, ts)
-        return summed, reference_length(a + p, pd, cfg_bh) - target
+    def excess(t):
+        return reference_length(*reference_radius(a, t * c0, t * s0, ts), cfg_bh) - target
 
     lo, hi = 1e-7, 1e-3  # the excess grows like t^2 through MATCH_TOL
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if abs(excesses(mid)[1]) > MATCH_TOL else (mid, hi)
-    split = [t for t in lo * (1.0 + 1e-7 * np.arange(-20, 21))
-             if len({abs(e) <= MATCH_TOL for e in excesses(t)}) == 2]
-    assert split
-    for t in split:
-        want = reference_match(a, t * c0, t * s0, target, cfg_bh, ts)
-        assert match_length(PolarFourierCurve(a, tuple(t * c0), tuple(t * s0)), target, cfg_bh).a0 == want
+        lo, hi = (lo, mid) if abs(excess(mid)) > MATCH_TOL else (mid, hi)
+    keeps = set()
+    for t in lo * (1.0 + 1e-7 * np.arange(-20, 21)):
+        curve = PolarFourierCurve(a, tuple(t * c0), tuple(t * s0))
+        keep = abs(length(curve, cfg_bh).value - target) <= MATCH_TOL
+        got = match_length(curve, target, cfg_bh).a0
+        assert (got == a) == keep
+        assert got == reference_match(a, t * c0, t * s0, target, cfg_bh, ts)
+        keeps.add(keep)
+    assert keeps == {True, False}
 
 
 # -- deficit ------------------------------------------------------------------
