@@ -4,10 +4,12 @@
 For each pair it prints, per trial, the rows of the length integrand
 evaluated on the quadrature nodes by the matcher (a trial is measured
 where the matcher stopped, so there is no further length evaluation),
-the draws checked on the sampled admissibility grid, and ("ends") the rows
-the matcher reported as not bracketed, whose bracket ends it evaluates
-for the message.  It counts by wrapping three kernels
-of the package from outside; the package has no counting switch.  The
+the draw rows whose radius is summed on the nodes (one per draw, redrawn
+ones included, since a draw is judged by its own p there), and ("ends")
+the rows the matcher reported as not bracketed, whose bracket ends it
+evaluates for the message.  It counts by wrapping three kernels where
+isoperimetry binds them, so the circle that length and area measure is
+not counted; the package has no counting switch.  The
 trials are the perturb-grid workload's: form bh, epsilon 0.05, four
 harmonics and 1024 nodes, by default 200 per pair at seed 1 on the nine
 pairs of radii 0.2, 0.5, 0.8 and drifts 0, 0.3, 0.7.
@@ -16,7 +18,7 @@ import argparse
 import sys
 from collections import Counter
 
-from randers_disc import PerturbationSpec, QuadratureGrid, RandersConfig, curves, isoperimetry, run_trials
+from randers_disc import PerturbationSpec, QuadratureGrid, RandersConfig, isoperimetry, run_trials
 
 FORM = "bh"
 EPSILON = 0.05
@@ -24,7 +26,7 @@ EPSILON = 0.05
 # takes rows of samples, so the rows are the length of the first argument
 KERNELS = (
     (isoperimetry, "length_integrand", "integrand", lambda r, *_: len(r)),
-    (curves, "_admissible_rows", "sampled", lambda r, rd: len(r)),
+    (isoperimetry, "_radius_rows", "drawn", lambda a0, *_: len(a0)),
     (isoperimetry, "_bracket_ends", "ends", lambda lo, *_: len(lo)),
 )
 
@@ -64,13 +66,13 @@ def main() -> int:
         for b in args.drifts:
             counts.clear()
             batch = run_trials(a, RandersConfig(b, FORM), spec, QuadratureGrid(1024))
-            per = {key: counts[key] / len(batch) for key in ("integrand", "sampled", "ends")}
+            per = {key: counts[key] / len(batch) for key in ("integrand", "drawn", "ends")}
             total.update(counts)
             print(f"a={a:<4} b={b:<4} integrand={per['integrand']:.3f}  "
-                  f"sampled={per['sampled']:.3f}  ends={per['ends']:.3f}  failed={len(batch.notes)}")
+                  f"drawn={per['drawn']:.3f}  ends={per['ends']:.3f}  failed={len(batch.notes)}")
     trials = spec.count * len(args.radii) * len(args.drifts)
     print(f"# all pairs: integrand={total['integrand'] / trials:.3f}  "
-          f"sampled={total['sampled'] / trials:.3f}  ends={total['ends'] / trials:.3f} rows per trial")
+          f"drawn={total['drawn'] / trials:.3f}  ends={total['ends'] / trials:.3f} rows per trial")
     return 0
 
 

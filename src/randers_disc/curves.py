@@ -9,17 +9,20 @@ There is one curve class: radii come from one harmonic kernel that
 evaluates rows of coefficients at once, a single curve is its one-row case,
 and a Circle is the Fourier curve with no harmonics.
 
-Admissibility has one rule over rows of coefficients.  Every sample of a
-row satisfies |r - a0| <= M = sum_k |c_k| + |s_k|, and |velocity| >= r, so
-a row with a0 - M > 2*margin and a0 + M < 1 - 2*margin is admissible on
-every node; the spare margin absorbs roundoff in r.  Only rows this
-coefficient bound cannot clear (a NaN bound clears nothing) are sampled
-on the 4096-node grid.
+Admissibility has one rule, decided on the n uniform quadrature nodes.
+Write r = a0 + p.  Between nodes p exceeds its node extremes by at most
+(h^2/8) sum_k k^2 (|c_k| + |s_k|), h = 2*pi/n: at an interior extremum
+p' = 0, some node lies within h/2 of it, and |p''| is at most that sum
+(the grid-excursion argument of Ehlich & Zeller, Math. Z. 86, 1964).
+With that slack and the margin added, a row of coefficients has the
+base-radius interval lo = slack - min p, hi = 1 - slack - max p over the
+nodes, and it is admissible at a0 iff lo < a0 < hi: then r stays in
+(margin, 1 - margin) at every t, and |velocity| >= r covers the speed.
+A NaN coefficient makes p NaN, and the interval admits nothing.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -28,10 +31,22 @@ from .errors import DomainError, VerificationError
 
 TWO_PI = 2.0 * math.pi
 
-_ADMISSIBLE_GRID = 4096     # uniform samples of t in the admissibility check
-_ADMISSIBLE_MARGIN = 1e-9   # distance kept from the origin, the rim and zero speed
-_ADMISSIBLE_NODES = TWO_PI * np.arange(_ADMISSIBLE_GRID) / _ADMISSIBLE_GRID
-_ADMISSIBLE_NODES.setflags(write=False)
+_ADMISSIBLE_MARGIN = 1e-9   # distance kept from the origin and the rim
+
+
+@dataclasses.dataclass(frozen=True)
+class QuadratureGrid:
+    """Uniform nodes on [0, 2*pi); n a power of two >= 256 so it can halve."""
+
+    n: int = 1024
+
+    def __post_init__(self):
+        if self.n < 256 or (self.n & (self.n - 1)) != 0:
+            raise DomainError(f"quadrature node count must be a power of two >= 256, got {self.n}")
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return TWO_PI * np.arange(self.n) / self.n
 
 
 def require_radius(a: float) -> None:
@@ -144,63 +159,43 @@ class Circle(PolarFourierCurve):
         return f"Circle(a={self.a!r})"
 
 
-def _admissible_rows(r: np.ndarray, rd: np.ndarray) -> np.ndarray:
-    """Per row of samples: r in (margin, 1 - margin) and |velocity| > margin throughout."""
-    margin = _ADMISSIBLE_MARGIN
-    inside = np.all(r > margin, axis=-1) & np.all(r < 1.0 - margin, axis=-1)
-    return inside & np.all(r * r + rd * rd > margin * margin, axis=-1)
+def _base_interval(p: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's admissible base radii (lo, hi): r = a0 + p is admissible iff lo < a0 < hi.
 
-
-def _coefficient_bound(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
-    """M = sum_k |c_k| + sum_k |s_k| of each row, a bound on |r - a0| at every t.
-
-    Each sum runs left to right from k = 1, as a plain Python sum does
-    (numpy's sum pairs terms from eight on), so M has the same bits in the
-    draw check, in the matcher's bracket and in a one-curve reference.
+    p holds each row's samples on n uniform nodes of one period (shape
+    (rows, n)), and cos_coeffs, sin_coeffs its coefficients (shape (rows, K)).
     """
-    def total(coeffs):
-        m = np.zeros(len(coeffs))
-        for k in range(coeffs.shape[1]):
-            m = m + np.abs(coeffs[:, k])
-        return m
-
-    return total(cos_coeffs) + total(sin_coeffs)
+    h = TWO_PI / p.shape[-1]
+    ks = np.arange(1, cos_coeffs.shape[-1] + 1)
+    bend = np.sum(ks * ks * (np.abs(cos_coeffs) + np.abs(sin_coeffs)), axis=-1)
+    slack = h * h / 8.0 * bend + _ADMISSIBLE_MARGIN
+    return slack - p.min(axis=-1), 1.0 - slack - p.max(axis=-1)
 
 
-@functools.lru_cache(maxsize=4)
-def _admissible_basis(harmonics: int) -> tuple[np.ndarray, np.ndarray]:
-    """The harmonic basis on the admissibility grid, read-only."""
-    basis = _harmonic_basis(_ADMISSIBLE_NODES, harmonics)
-    for part in basis:
-        part.setflags(write=False)
-    return basis
+def _node_samples(curve: PolarFourierCurve, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, bool]:
+    """r and r' of a curve on the nodes of grid, and whether its base radius lies in its interval there."""
+    cos_c, sin_c = np.array([curve.cos_coeffs]), np.array([curve.sin_coeffs])
+    p, pd = _radius_rows(np.zeros(1), cos_c, sin_c, _harmonic_basis(grid.nodes, curve.harmonics))
+    lo, hi = _base_interval(p, cos_c, sin_c)
+    return curve.a0 + p[0], pd[0], bool(lo[0] < curve.a0 < hi[0])
 
 
-def _bound_clears(a0: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
-    """Per row: a0 - M > 2*margin and a0 + M < 1 - 2*margin, so every node is admissible."""
-    bound = _coefficient_bound(cos_coeffs, sin_coeffs)
-    slack = 2.0 * _ADMISSIBLE_MARGIN
-    return (a0 - bound > slack) & (a0 + bound < 1.0 - slack)
-
-
-def _admissible(a0: np.ndarray, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
-    """Per row: admissible by the coefficient bound, or else on the sampled grid."""
-    ok = _bound_clears(a0, cos_coeffs, sin_coeffs)
-    rest = np.flatnonzero(~ok)
-    if len(rest):
-        basis = _admissible_basis(cos_coeffs.shape[1])
-        ok[rest] = _admissible_rows(*_radius_rows(a0[rest], cos_coeffs[rest], sin_coeffs[rest], basis))
-    return ok
+def _admissible_samples(curve: PolarFourierCurve, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """r and r' of an admissible curve on the nodes of grid; VerificationError if it is not admissible there."""
+    r, rd, admissible = _node_samples(curve, grid)
+    if not admissible:
+        raise VerificationError(f"curve {curve!r} leaves the admissible polar-graph class")
+    return r, rd
 
 
 def check_admissible(curve: PolarFourierCurve) -> bool:
-    """True iff r(t) in (margin, 1 - margin) and |velocity| > margin on the grid.
+    """True iff a0 lies in the curve's base-radius interval on the default grid's nodes.
 
-    A curve the coefficient bound clears is admissible without sampling.
+    Then r(t) stays in (margin, 1 - margin) at every t, and so does
+    |velocity| >= r above the margin.
     """
-    return bool(_admissible(np.array([curve.a0]), np.array([curve.cos_coeffs]), np.array([curve.sin_coeffs])))
+    return _node_samples(curve, QuadratureGrid())[2]
 
 
 def require_admissible(curve: PolarFourierCurve) -> None:
-    if not check_admissible(curve):
-        raise VerificationError(f"curve {curve!r} leaves the admissible polar-graph class")
+    _admissible_samples(curve, QuadratureGrid())

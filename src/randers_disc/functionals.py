@@ -4,7 +4,9 @@ Both are line integrals over one period, evaluated with the periodic
 trapezoid rule (spectrally accurate for smooth integrands); the error
 estimate compares against the half-resolution subgrid.  The area uses the
 Green form of the volume integral: every volume form is the constant
-kappa(form, b) times the same orientation-sensitive integral.
+kappa(form, b) times the same orientation-sensitive integral.  Both decide
+the curve's admissibility on the nodes they integrate, by the node rule
+of curves, so its radius is summed once.
 
 The integrands take samples of a polar graph gamma = r (cos t, sin t) as
 rows of (r, r'), with no Cartesian frame.  On such a curve x . v = r r',
@@ -22,23 +24,7 @@ import math
 import numpy as np
 
 from .config import RandersConfig
-from .curves import TWO_PI, PolarFourierCurve, require_admissible, require_radius
-from .errors import DomainError
-
-
-@dataclasses.dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform nodes on [0, 2*pi); n a power of two >= 256 so it can halve."""
-
-    n: int = 1024
-
-    def __post_init__(self):
-        if self.n < 256 or (self.n & (self.n - 1)) != 0:
-            raise DomainError(f"quadrature node count must be a power of two >= 256, got {self.n}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.n) / self.n
+from .curves import TWO_PI, PolarFourierCurve, QuadratureGrid, _admissible_samples, require_radius
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,15 +71,13 @@ def length(curve: PolarFourierCurve, cfg: RandersConfig, grid: QuadratureGrid = 
     integrates to zero; it is integrated anyway, which turns that
     b-independence into a testable property rather than an assumption.
     """
-    require_admissible(curve)
-    value, est = _periodic_integral(length_integrand(*curve.radius_batch(grid.nodes), cfg))
+    value, est = _periodic_integral(length_integrand(*_admissible_samples(curve, grid), cfg))
     return FunctionalValue(value, est)
 
 
 def area(curve: PolarFourierCurve, cfg: RandersConfig, grid: QuadratureGrid = QuadratureGrid()) -> FunctionalValue:
     """Enclosed area under cfg.form: kappa(form, b) times the shared Green integral."""
-    require_admissible(curve)
-    base, est = _periodic_integral(signed_area_integrand(curve.radius_batch(grid.nodes)[0]))
+    base, est = _periodic_integral(signed_area_integrand(_admissible_samples(curve, grid)[0]))
     kap = cfg.kappa
     return FunctionalValue(kap * base, kap * est)
 

@@ -10,17 +10,18 @@ maximum shows up as strictly negative area changes; harmonic-1
 perturbations are near-neutral translation directions, so strictness is
 only required past -1e-12.
 
-run_trials works on small fixed blocks of trials: draws are checked for
-admissibility a block at a time, by the coefficient bound and on the
-sampled grid only where the bound cannot clear them, and one Newton
-matcher runs a block's rows side by side, each row with its own iterate
-and stops.  Every row gets the arithmetic it would get alone, so a trial
-does not depend on the block it falls in.  Work a proof makes redundant
-is skipped: the entry check is Newton's first iterate, and a row's
-bracket ends are evaluated only to report a target out of its reach.  The
-circle is measured by length and area before anything is drawn.  The
-harmonic basis is built once per grid per call.  Results come back as a
-TrialBatch, which stores them by column.
+run_trials works on blocks of four trials: a block is drawn on the
+quadrature nodes, where each draw's p, p' and base-radius interval
+(lo, hi) of the one admissibility rule of curves are computed once, and a
+draw is admissible iff lo < a < hi.  The same interval is the matcher's
+bracket, and one Newton matcher runs a block's rows side by side, each
+row with its own iterate and stops.  Every row gets the arithmetic it
+would get alone, so a trial does not depend on the block it falls in.
+Work a proof makes redundant is skipped: the entry check is Newton's
+first iterate, and a row's bracket ends are evaluated only to report a
+target out of its reach.  The circle is measured by length and area
+before anything is drawn.  The harmonic basis is built once per grid per
+call.  Results come back as a TrialBatch, which stores them by column.
 
 Every polar curve's radius is a0 + p, the harmonics summed into p first,
 so the matcher, length and area see the same bits at the same base
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from .config import RandersConfig
-from .curves import Circle, PolarFourierCurve, _admissible, _coefficient_bound, _harmonic_basis, _radius_rows
+from .curves import Circle, PolarFourierCurve, _base_interval, _harmonic_basis, _radius_rows
 from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid, _trapezoid, area, length, length_integrand, signed_area_integrand
 
@@ -47,8 +48,7 @@ MATCH_TOL = 1e-10         # required |length - target| after matching
 _NEWTON_TOL = 1e-3 * MATCH_TOL  # |length - target| at which Newton stops
 _MATCH_STEPS = 100        # iterate cap; no row took more than 7 on 20 640 trials with a up to 0.995
 STRICT_DECREASE = -1e-12  # area must drop below this unless the curve is the circle
-_DRAW_ROWS = 2            # draws checked together on the admissibility grid
-_MATCH_ROWS = 4           # trials matched together on the quadrature nodes
+_MATCH_ROWS = 4           # trials drawn and matched together on the quadrature nodes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,42 +85,53 @@ class TrialResult:
     note: str = ""
 
 
-def _draw(spec: PerturbationSpec, a: float) -> np.ndarray:
-    """(count, 2, K) cosine and sine coefficients of admissible perturbations of the circle a.
+def _draw(spec: PerturbationSpec, a: float, basis: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple]:
+    """Yield blocks of _MATCH_ROWS admissible perturbations of the circle a, in index order.
 
+    Each block is (start, coeffs, p, p', lo, hi): the (rows, 2, K) cosine
+    and sine coefficients of trials start, start + 1, ..., their p and p'
+    on the nodes of basis, and their base-radius intervals there.
     Coefficient k is uniform on [-eps, eps]/k.  Each index owns the stream
-    seeded by (seed, index), so trial i is reproducible in isolation;
-    inadmissible draws are redrawn from the same stream against a global
-    budget of 100*count rejections.  Draws are checked _DRAW_ROWS at a
-    time, each once, by the one admissibility rule.  Each index rejects the
-    same draws in any order and every rejection is counted as it is seen,
-    so the budget runs out, with the same message, exactly when it would
-    drawing one index at a time.
+    seeded by (seed, index), so trial i is reproducible in isolation; a draw
+    is admissible iff lo < a < hi, and an inadmissible one is redrawn from
+    the same stream against a global budget of 100*count rejections.  Each
+    index rejects the same draws in any order and every rejection is
+    counted as it is seen, so the budget runs out, with the same message,
+    exactly when it would drawing one index at a time.
     """
     ks = np.arange(1, spec.harmonics + 1)
     budget = 100 * spec.count
     rejected = 0
-    coeffs = np.empty((spec.count, 2, spec.harmonics))
-    for start in range(0, spec.count, _DRAW_ROWS):
-        stop = min(start + _DRAW_ROWS, spec.count)
-        streams = {i: np.random.default_rng([spec.seed, i]) for i in range(start, stop)}
-        while streams:
-            for i, rng in streams.items():
-                coeffs[i, 0] = rng.uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
-                coeffs[i, 1] = rng.uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
-            pending = list(streams)
-            drawn = coeffs[pending]
-            verdicts = _admissible(np.full(len(pending), a), drawn[:, 0], drawn[:, 1])
-            for i, admissible in zip(pending, verdicts):
+    for start in range(0, spec.count, _MATCH_ROWS):
+        rows = min(_MATCH_ROWS, spec.count - start)
+        streams = [np.random.default_rng([spec.seed, i]) for i in range(start, start + rows)]
+        coeffs = np.empty((rows, 2, spec.harmonics))
+        pending = np.arange(rows)
+        while len(pending):
+            for j in pending.tolist():
+                coeffs[j, 0] = streams[j].uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
+                coeffs[j, 1] = streams[j].uniform(-spec.epsilon, spec.epsilon, spec.harmonics) / ks
+            # a pass that redraws the whole block takes it as it is, with no gather
+            whole = len(pending) == rows
+            drawn = coeffs if whole else coeffs[pending]
+            # r = a0 + p with p independent of a0, so p and p' are sampled once per draw
+            p_new, pd_new = _radius_rows(np.zeros(len(pending)), drawn[:, 0], drawn[:, 1], basis)
+            lo_new, hi_new = _base_interval(p_new, drawn[:, 0], drawn[:, 1])
+            if whole:
+                p, pd, lo, hi = p_new, pd_new, lo_new, hi_new
+            else:
+                p[pending], pd[pending], lo[pending], hi[pending] = p_new, pd_new, lo_new, hi_new
+            admitted = (lo_new < a) & (a < hi_new)
+            for admissible in admitted.tolist():
                 if admissible:
-                    del streams[i]
                     continue
                 rejected += 1
                 if rejected > budget:
                     raise VerificationError(
                         f"rejected {rejected} draws for {spec.count} curves; epsilon too large for a={a}"
                     )
-    return coeffs
+            pending = pending[~admitted]
+        yield start, coeffs, p, pd, lo, hi
 
 
 def _bracket_ends(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, pd: np.ndarray,
@@ -133,21 +144,21 @@ def _match_rows(
     a0: np.ndarray,
     p: np.ndarray,
     pd: np.ndarray,
-    bound: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     target_L: float,
     cfg: RandersConfig,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, VerificationError]]:
     """Matched base radius and length of each row, and the error of each row that failed.
 
     Row i is the curve r = a0[i] + p[i], r' = pd[i] on the quadrature nodes,
-    admissible already, and bound[i] is its coefficient bound M.  Rows run
-    side by side but never mix: each keeps its own iterate, stops and step
-    cap.  A row's length is the last one the matcher evaluated, at the
-    radius it returns, so it is what length measures on the matched curve.
-    A row already within MATCH_TOL keeps its a0 (the circle is an exact
-    fixed point).  Otherwise Newton starts at a0 if a0 lies inside the
-    bracket [lo, hi] = [M + 1e-6, 1 - M - 1e-6], else at hi.  A failed
-    row's radius and length are meaningless.
+    and (lo[i], hi[i]) is its base-radius interval there, the bracket, with
+    lo[i] < a0[i] < hi[i].  Rows run side by side but never mix: each keeps
+    its own iterate, stops and step cap.  A row's length is the last one the
+    matcher evaluated, at the radius it returns, so it is what length
+    measures on the matched curve.  A row already within MATCH_TOL keeps its
+    a0 (the circle is an exact fixed point); otherwise Newton starts at a0.
+    A failed row's radius and length are meaningless.
 
     f = L(a0 + p) - target_L is increasing and convex in a0: the alpha part
     2w/s of the integrand, with w = sqrt(r^2 + r'^2) and s = 1 - r^2, is a
@@ -185,25 +196,16 @@ def _match_rows(
         slope = _trapezoid(2.0 * r / (speed * s) + 4.0 * r * speed / (s * s))
         return lengths(r, pd, speed, s), slope
 
-    lo, hi = bound + 1e-6, 1.0 - bound - 1e-6
     L, slope = measure(a0, p, pd)
-    away = ~(np.abs(L - target_L) <= MATCH_TOL)
-    errors = {}
-    for i in np.flatnonzero(away & ~(lo < hi)).tolist():
-        errors[i] = VerificationError(f"no admissible base-radius interval for margin {bound[i].item()}")
-    todo = np.flatnonzero(away & (lo < hi))
-    matched, measured = a0.copy(), L
+    todo = np.flatnonzero(~(np.abs(L - target_L) <= MATCH_TOL))
+    matched, measured, errors = a0.copy(), L, {}
     if not len(todo):
         return matched, measured, errors
 
-    # from here on, arrays hold the rows of todo; within the bracket the radius
-    # stays inside [a0 - M, a0 + M], so admissibility holds by construction
+    # from here on, arrays hold the rows of todo; inside the bracket every
+    # iterate is admissible
     x, L, slope, p, pd, lo, hi = a0[todo], L[todo], slope[todo], p[todo], pd[todo], lo[todo], hi[todo]
     todo = todo.tolist()
-    outside = np.flatnonzero(~((lo < x) & (x < hi)))
-    if len(outside):
-        x[outside] = hi[outside]
-        L[outside], slope[outside] = measure(x[outside], p[outside], pd[outside])
     right = np.zeros(len(todo), dtype=bool)  # f has been > 0: the row is right of its root
     unbracketed = np.zeros(len(todo), dtype=bool)
     live = np.arange(len(todo))
@@ -289,18 +291,13 @@ def run_trials(
     # admissibility margin of 0 or 1 is named as such rather than blamed on epsilon
     target_L = length(Circle(a), cfg, grid).value
     circle_A = area(Circle(a), cfg, grid).value
-    coeffs = _draw(spec, a)
-    basis = _harmonic_basis(grid.nodes, spec.harmonics)
+    coeffs = np.empty((spec.count, 2, spec.harmonics))
     numbers = np.full((spec.count, len(TrialBatch.FIELDS)), math.nan)
     ok = np.zeros(spec.count, dtype=bool)
     notes = {}
-    for start in range(0, spec.count, _MATCH_ROWS):
-        block = coeffs[start:start + _MATCH_ROWS]
-        cos_c, sin_c = block[:, 0], block[:, 1]
-        # r = a0 + p with p independent of a0, so p and p' are sampled once per block
-        p, pd = _radius_rows(np.zeros(len(block)), cos_c, sin_c, basis)
-        a0, L, errors = _match_rows(np.full(len(block), a), p, pd, _coefficient_bound(cos_c, sin_c),
-                                    target_L, cfg)
+    for start, block, p, pd, lo, hi in _draw(spec, a, _harmonic_basis(grid.nodes, spec.harmonics)):
+        coeffs[start:start + len(block)] = block
+        a0, L, errors = _match_rows(np.full(len(block), a), p, pd, lo, hi, target_L, cfg)
         for row, exc in errors.items():
             notes[start + row] = str(exc)
         good = [row for row in range(len(block)) if row not in errors]

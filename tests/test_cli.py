@@ -376,6 +376,13 @@ def test_perturb_small_wiggles_near_the_rim_all_match(tmp_path):
     assert len(rows) == 20 and all(r.split(",")[-1] == "1" for r in rows)
 
 
+def test_perturb_default_draws_near_the_rim_all_pass(tmp_path):
+    rc, out = run(["perturb", "--a", "0.9", "--b", "0.3", "--form", "bh"], tmp_path)
+    assert rc == 0
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == PerturbationSpec().count and all(r.split(",")[-1] == "1" for r in rows)
+
+
 @pytest.mark.parametrize("epsilon", ["0.05", "0"])
 def test_perturb_radius_at_the_rim_names_the_circle(tmp_path, capsys, epsilon):
     # a valid radius within the admissibility margin of the rim: the circle

@@ -13,16 +13,15 @@ from randers_disc import (
     check_admissible,
     circle_closed_forms,
     lambda_for_circle,
+    length,
     require_admissible,
     run_trials,
 )
 from randers_disc.curves import (
     _ADMISSIBLE_MARGIN,
-    _ADMISSIBLE_NODES,
     TWO_PI,
-    _admissible,
-    _admissible_rows,
-    _bound_clears,
+    QuadratureGrid,
+    _base_interval,
     _harmonic_basis,
     _polar_frame,
     _radius_rows,
@@ -166,7 +165,13 @@ def test_fourier_batch_reuses_the_kernel_cos_and_sin_bitwise(rng):
         assert np.array_equal(got, want)
 
 
-def test_admissible_rows_agree_with_check_admissible():
+def node_intervals(cos_c, sin_c, n):
+    """p on n uniform nodes of each row of coefficients, and the rows' base-radius intervals."""
+    p, _ = _radius_rows(np.zeros(len(cos_c)), cos_c, sin_c, _harmonic_basis(QuadratureGrid(n).nodes, cos_c.shape[1]))
+    return p, _base_interval(p, cos_c, sin_c)
+
+
+def test_base_intervals_agree_with_check_admissible():
     curves = [
         PolarFourierCurve(0.5, (0.05, 0.01), (0.0, 0.0)),
         PolarFourierCurve(0.5, (0.6, 0.0), (0.0, 0.0)),   # dips to the origin
@@ -176,23 +181,25 @@ def test_admissible_rows_agree_with_check_admissible():
     a0 = np.array([c.a0 for c in curves])
     cos_c = np.array([c.cos_coeffs for c in curves])
     sin_c = np.array([c.sin_coeffs for c in curves])
-    rows = _admissible_rows(*_radius_rows(a0, cos_c, sin_c, _harmonic_basis(_ADMISSIBLE_NODES, 2)))
+    _, (lo, hi) = node_intervals(cos_c, sin_c, QuadratureGrid().n)
+    rows = (lo < a0) & (a0 < hi)
     assert rows.tolist() == [check_admissible(c) for c in curves] == [True, False, False, True]
 
 
 @given(
     harmonics=st.integers(1, 16),
+    n=st.sampled_from([256, 1024]),
     edge=st.sampled_from(["origin", "rim"]),
     log_gap=st.floats(-12.0, np.log10(0.5)),
     scales=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
     nan_rows=st.sets(st.integers(0, 5)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_coefficient_bound_clears_only_rows_the_samples_admit(harmonics, edge, log_gap, scales, nan_rows,
-                                                               seed):
+def test_node_interval_admits_only_curves_inside_the_disc_between_nodes(harmonics, n, edge, log_gap, scales,
+                                                                        nan_rows, seed):
     # a0 sits 10**log_gap from the origin or the rim; each row's coefficients
-    # sum to scale times the room the bound leaves, so scales below 1 are
-    # cleared by the bound and scales above 1 fall through to the samples
+    # sum to scale times the room the margin leaves, so scales below 1 keep
+    # |p| inside it at every t and scales above 1 may leave it
     gap = 10.0 ** log_gap
     a0_value = gap if edge == "origin" else 1.0 - gap
     room = max(min(a0_value, 1.0 - a0_value) - 2.0 * _ADMISSIBLE_MARGIN, 0.0)
@@ -201,13 +208,38 @@ def test_coefficient_bound_clears_only_rows_the_samples_admit(harmonics, edge, l
     coeffs *= (np.array(scales) * room / np.abs(coeffs).sum(axis=(1, 2)))[:, None, None]
     for row in nan_rows & set(range(len(scales))):
         coeffs[row, rng.integers(2), rng.integers(harmonics)] = np.nan
-    a0 = np.full(len(scales), a0_value)
     cos_c, sin_c = coeffs[:, 0], coeffs[:, 1]
-    cleared = _bound_clears(a0, cos_c, sin_c)
-    sampled = _admissible_rows(*_radius_rows(a0, cos_c, sin_c, _harmonic_basis(_ADMISSIBLE_NODES, harmonics)))
-    assert np.all(sampled[cleared])
-    assert not np.any(cleared[np.isnan(coeffs).any(axis=(1, 2))])  # a NaN row is sampled, and fails
-    assert _admissible(a0, cos_c, sin_c).tolist() == sampled.tolist()
+    p, (lo, hi) = node_intervals(cos_c, sin_c, n)
+    admitted = (lo < a0_value) & (a0_value < hi)
+    assert not np.any(admitted[np.isnan(coeffs).any(axis=(1, 2))])  # a NaN coefficient admits nothing
+    # 16 times denser than the nodes: the interval lies inside what the dense
+    # extremes allow, so an admitted row stays inside (margin, 1 - margin)
+    dense, _ = node_intervals(cos_c, sin_c, 16 * n)
+    finite = ~np.isnan(coeffs).any(axis=(1, 2))
+    assert np.all(lo[finite] >= _ADMISSIBLE_MARGIN - dense[finite].min(axis=-1))
+    assert np.all(hi[finite] <= 1.0 - _ADMISSIBLE_MARGIN - dense[finite].max(axis=-1))
+    r = a0_value + dense[admitted]
+    assert np.all(r > _ADMISSIBLE_MARGIN) and np.all(r < 1.0 - _ADMISSIBLE_MARGIN)
+    # the interval never loses a row that |p| <= sum |c_k| + |s_k| clears with its slack
+    ks = np.arange(1, harmonics + 1)
+    slack = (TWO_PI / n) ** 2 / 8.0 * np.sum(ks * ks * np.abs(coeffs), axis=(1, 2)) + 2.0 * _ADMISSIBLE_MARGIN
+    bound = np.abs(coeffs).sum(axis=(1, 2))
+    assert np.all(admitted[(a0_value - bound > slack) & (a0_value + bound < 1.0 - slack)])
+
+
+def test_a_curve_that_leaves_the_disc_between_samples_is_rejected():
+    # r = a0 + 0.05 cos 4(t - pi/4096) peaks at 1 + 1e-7 midway between the
+    # points of a 4096-point sample, where it stays below 1 - 1e-7; the node
+    # bound sees the peak
+    phase = 4.0 * np.pi / 4096
+    curve = PolarFourierCurve(1.0 + 1e-7 - 0.05, (0.0, 0.0, 0.0, 0.05 * np.cos(phase)),
+                              (0.0, 0.0, 0.0, 0.05 * np.sin(phase)))
+    ts = TWO_PI * np.arange(4096) / 4096
+    assert curve.radius_batch(ts)[0].max() < 1.0 - 1e-7
+    assert curve.radius_batch(ts + np.pi / 4096)[0].max() > 1.0
+    assert not check_admissible(curve)
+    with pytest.raises(VerificationError, match="leaves the admissible polar-graph class"):
+        length(curve, RandersConfig(0.3))
 
 
 def test_unequal_coefficient_lists_rejected():
