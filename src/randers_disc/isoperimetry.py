@@ -17,18 +17,23 @@ draw is admissible iff lo < a < hi.  The same interval is the matcher's
 bracket, and one Newton matcher runs a block's rows side by side, each
 row with its own iterate and stops.  Every row gets the arithmetic it
 would get alone, so a trial does not depend on the block it falls in.
-Work a proof makes redundant is skipped: the entry check is Newton's
-first iterate, and a row's bracket ends are evaluated only to report a
-target out of its reach.  The circle is measured by length and area
-before anything is drawn.  The harmonic basis is built once per grid per
-call.  Results come back as a TrialBatch, which stores them by column.
+Newton runs first on a subset of the nodes, about 32 per harmonic, where
+the trapezoid rule has converged for moderate draws, and only moves the
+start point there; it then runs on all nodes, where every stop rule and
+verdict is decided, and usually stops at its first iterate.  Work a
+proof makes redundant is skipped: a row's bracket ends are evaluated
+only to report a target out of its reach.  The circle is measured by
+length and area before anything is drawn.  The harmonic basis is built
+once per grid per call.  Results come back as a TrialBatch, which stores
+what was measured by column.
 
 Every polar curve's radius is a0 + p, the harmonics summed into p first,
 so the matcher, length and area see the same bits at the same base
 radius.  A trial is measured where its matcher stopped: its length is the
-one the matcher last evaluated, by the polar-graph integrands of
-functionals on rows of (r, r'), and its area is taken on the same radius,
-so every reported trial re-measures bitwise through its own curve.
+one the matcher last evaluated on all nodes, by the polar-graph
+integrands of functionals on rows of (r, r'), and its area is taken on
+the same radius, so every reported trial re-measures bitwise through its
+own curve.
 """
 from __future__ import annotations
 
@@ -140,6 +145,17 @@ def _bracket_ends(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, pd: np.ndarray,
     return gap(lo[:, None] + p, pd), gap(hi[:, None] + p, pd)
 
 
+def _coarse_stride(n: int, harmonics: int) -> int:
+    """Stride of the node subset the matcher's first Newton stage runs on, or 0 for none.
+
+    The subset holds the smallest power of two >= 32 K nodes, for K
+    harmonics; when that is more than half of the n nodes, there is no
+    first stage and the matcher runs on all n.
+    """
+    nodes = 1 << (32 * harmonics - 1).bit_length()
+    return n // nodes if 2 * nodes <= n else 0
+
+
 def _match_rows(
     a0: np.ndarray,
     p: np.ndarray,
@@ -148,31 +164,39 @@ def _match_rows(
     hi: np.ndarray,
     target_L: float,
     cfg: RandersConfig,
+    harmonics: int,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, VerificationError]]:
     """Matched base radius and length of each row, and the error of each row that failed.
 
-    Row i is the curve r = a0[i] + p[i], r' = pd[i] on the quadrature nodes,
-    and (lo[i], hi[i]) is its base-radius interval there, the bracket, with
-    lo[i] < a0[i] < hi[i].  Rows run side by side but never mix: each keeps
-    its own iterate, stops and step cap.  A row's length is the last one the
-    matcher evaluated, at the radius it returns, so it is what length
-    measures on the matched curve.  A row already within MATCH_TOL keeps its
-    a0 (the circle is an exact fixed point); otherwise Newton starts at a0.
-    A failed row's radius and length are meaningless.
+    Row i is the curve r = a0[i] + p[i], r' = pd[i] on the n quadrature
+    nodes, p a sum of the first harmonics harmonics, and (lo[i], hi[i]) is
+    its base-radius interval there, the bracket, with lo[i] < a0[i] < hi[i].  Rows run side
+    by side but never mix: each keeps its own iterate, stops and step cap.
+    A row's length is the last one the matcher evaluated on all n nodes, at
+    the radius it returns, so it is what length measures on the matched
+    curve.  A failed row's radius and length are meaningless.
 
     f = L(a0 + p) - target_L is increasing and convex in a0: the alpha part
     2w/s of the integrand, with w = sqrt(r^2 + r'^2) and s = 1 - r^2, is a
     product of two positive, increasing, convex factors of r > 0, and the
     drift part does not depend on a0.  So Newton from the right of the root
     decreases monotonically to it, and one step from the left lands right
-    of it.  A step at or past hi restarts at hi.  A row stops when
-    |f| <= _NEWTON_TOL, when its step no longer moves it, or when f turns
-    <= 0 after having been > 0, which from the right is roundoff; a row
-    that uses up _MATCH_STEPS is evaluated once more where its last step
-    took it.  It is matched if |f| <= MATCH_TOL, else stalled.  It is not
-    bracketed when f <= 0 at hi, when a step from the right lands at or
-    below lo, or when f is NaN; only then are its bracket ends evaluated,
-    for the message.
+    of it.  This holds for the trapezoid sum on any set of nodes.
+
+    Newton runs in two stages from a0, each with its own step cap
+    _MATCH_STEPS: first on every m-th node (m from _coarse_stride), which
+    only moves the start point, then on all n nodes from where the first
+    stage stopped.  In both a row stops when |f| <= _NEWTON_TOL, when its
+    step no longer moves it, or when f turns <= 0 after having been > 0 in
+    that stage, which from the right is roundoff.  The first stage also
+    stops a row, where it is, at a step that leaves (lo, hi).  On all n
+    nodes a step at or past hi restarts at hi, and a row that uses up its
+    steps is evaluated once more where its last step took it.  It is
+    matched if |f| <= MATCH_TOL there, else stalled.  It is not bracketed
+    when f <= 0 at hi, when a step from the right lands at or below lo, or
+    when f is NaN; only then are its bracket ends evaluated, for the
+    message.  A row that enters within MATCH_TOL is matched like any other;
+    the circle keeps a0, since its excess is exactly 0.
     """
     def lengths(r: np.ndarray, rd: np.ndarray, *parts: np.ndarray) -> np.ndarray:
         """L of each row of radius samples; parts are hypot(r, r') and 1 - r*r if in hand."""
@@ -196,71 +220,96 @@ def _match_rows(
         slope = _trapezoid(2.0 * r / (speed * s) + 4.0 * r * speed / (s * s))
         return lengths(r, pd, speed, s), slope
 
-    L, slope = measure(a0, p, pd)
-    todo = np.flatnonzero(~(np.abs(L - target_L) <= MATCH_TOL))
-    matched, measured, errors = a0.copy(), L, {}
-    if not len(todo):
-        return matched, measured, errors
-
-    # from here on, arrays hold the rows of todo; inside the bracket every
-    # iterate is admissible
-    x, L, slope, p, pd, lo, hi = a0[todo], L[todo], slope[todo], p[todo], pd[todo], lo[todo], hi[todo]
-    todo = todo.tolist()
-    right = np.zeros(len(todo), dtype=bool)  # f has been > 0: the row is right of its root
-    unbracketed = np.zeros(len(todo), dtype=bool)
-    live = np.arange(len(todo))
-    for iterate in range(_MATCH_STEPS):
-        if not len(live):
-            break
-        if iterate:  # the first iterate's excess is in hand
-            L[live], slope[live] = measure(x[live], p[live], pd[live])
-        x_l, f_l, hi_l = x[live], L[live] - target_L, hi[live]
-        step = x_l - f_l / slope[live]
-        done = (np.abs(f_l) <= _NEWTON_TOL) | (right[live] & (f_l <= 0.0)) | (step == x_l)
-        unbracketed[live] = ~done & (np.isnan(f_l) | ((x_l >= hi_l) & (f_l <= 0.0)) | (step <= lo[live]))
-        right[live] |= f_l > 0.0
-        stop = done | unbracketed[live]
-        x[live] = np.where(stop, x_l, np.where(step < hi_l, step, hi_l))
-        live = live[~stop]
-    if len(live):  # rows that used up their steps are measured where they end
-        L[live] = lengths(x[live, None] + p[live], pd[live])
-    matched[todo], measured[todo] = x, L
+    # inside the bracket every iterate is admissible, on any subset of the nodes
+    x, L, errors = a0.copy(), np.empty(len(a0)), {}
+    unbracketed = np.zeros(len(x), dtype=bool)
+    stride = _coarse_stride(p.shape[-1], harmonics)
+    stages = [(p[:, ::stride], pd[:, ::stride]), (p, pd)] if stride else [(p, pd)]
+    for p_s, pd_s in stages:
+        full = p_s is p
+        # the rows still iterating, with their iterates, samples and brackets,
+        # and whether f has been > 0 on them: then the row is right of its root
+        live, x_l, p_l, pd_l, lo_l, hi_l = np.arange(len(x)), x, p_s, pd_s, lo, hi
+        right = np.zeros(len(x), dtype=bool)
+        for _ in range(_MATCH_STEPS):
+            if not len(live):
+                break
+            L_l, slope = measure(x_l, p_l, pd_l)
+            L[live] = L_l
+            f_l = L_l - target_L
+            step = x_l - f_l / slope
+            done = (np.abs(f_l) <= _NEWTON_TOL) | (right & (f_l <= 0.0)) | (step == x_l)
+            if full:
+                failed = ~done & (np.isnan(f_l) | ((x_l >= hi_l) & (f_l <= 0.0)) | (step <= lo_l))
+                unbracketed[live] = failed
+                stop = done | failed
+            else:
+                stop = done | ~((lo_l < step) & (step < hi_l))
+            right |= f_l > 0.0
+            x_l = np.where(stop, x_l, np.where(step < hi_l, step, hi_l))
+            x[live] = x_l
+            if stop.any():
+                go = ~stop
+                live, x_l, p_l, pd_l, lo_l, hi_l, right = (
+                    v[go] for v in (live, x_l, p_l, pd_l, lo_l, hi_l, right))
+    if len(live):  # rows that used up their steps on all n nodes are measured where they end
+        L[live] = lengths(x_l[:, None] + p_l, pd_l)
     ends = np.flatnonzero(unbracketed)
     if len(ends):
         at_lo, at_hi = _bracket_ends(lo[ends], hi[ends], p[ends], pd[ends], gap)
         for j, e_lo, e_hi in zip(ends.tolist(), at_lo, at_hi):
-            errors[todo[j]] = VerificationError(
+            errors[j] = VerificationError(
                 f"target length {target_L} not bracketed on [{lo[j].item()}, {hi[j].item()}] "
                 f"(excess {e_lo:.3e} and {e_hi:.3e})")
     f = L - target_L
     for j in np.flatnonzero(~unbracketed & ~(np.abs(f) <= MATCH_TOL)).tolist():
-        errors[todo[j]] = VerificationError(f"length matching stalled at |dL| = {abs(f[j]):.3e}")
-    return matched, measured, errors
+        errors[j] = VerificationError(f"length matching stalled at |dL| = {abs(f[j]):.3e}")
+    return x, L, errors
 
 
 def deficit_value(length_value: float, area_value: float, cfg: RandersConfig) -> float:
     """L^2 - 4 pi A^ - A^2 with A^ = A/kappa, so all four forms share one deficit."""
-    a_hat = area_value / cfg.kappa
+    return _deficit(length_value, area_value, cfg.kappa)
+
+
+def _deficit(length_value, area_value, kappa: float):
+    """deficit_value for the form's kappa, on floats or arrays alike."""
+    a_hat = area_value / kappa
     return length_value * length_value - 4.0 * math.pi * a_hat - a_hat * a_hat
 
 
 class TrialBatch(Sequence):
     """Read-only sequence of trial results, stored by column.
 
-    batch[i] builds the i-th TrialResult on demand.  The columns are the
-    circle radius a, the six numbers of each trial (a0_matched, length,
-    area, length_err, delta_area, deficit), ok, the (count, 2, K) drawn
-    coefficients, and the notes of failed trials by index; a failed
-    trial's curve keeps the drawn base radius a.
+    batch[i] builds the i-th TrialResult on demand.  The batch stores what
+    was measured: the circle radius a, its length target_L and area
+    circle_A, the form's kappa, each trial's (a0_matched, length, area),
+    ok, the (count, 2, K) drawn coefficients, and the notes of failed
+    trials by index.  length_err, delta_area and deficit are derived from
+    them on each read, by the same float operations for one trial and for
+    the numbers column, so both give the same bits.  A failed trial's
+    numbers are NaN and its curve keeps the drawn base radius a.
     """
 
     FIELDS = ("a0_matched", "length", "area", "length_err", "delta_area", "deficit")
 
-    def __init__(self, a: float, numbers: np.ndarray, ok: np.ndarray, coeffs: np.ndarray,
-                 notes: dict[int, str]):
-        for column in (numbers, ok, coeffs):
+    def __init__(self, a: float, measured: np.ndarray, ok: np.ndarray, coeffs: np.ndarray,
+                 notes: dict[int, str], target_L: float, circle_A: float, kappa: float):
+        for column in (measured, ok, coeffs):
             column.setflags(write=False)
-        self.a, self.numbers, self.ok, self.coeffs, self.notes = a, numbers, ok, coeffs, notes
+        self.a, self.measured, self.ok, self.coeffs, self.notes = a, measured, ok, coeffs, notes
+        self.target_L, self.circle_A, self.kappa = float(target_L), float(circle_A), float(kappa)
+
+    def _fields(self, a0, L, A) -> tuple:
+        """The FIELDS of trials measured at a0, L and A, floats or columns."""
+        return a0, L, A, abs(L - self.target_L), A - self.circle_A, _deficit(L, A, self.kappa)
+
+    @property
+    def numbers(self) -> np.ndarray:
+        """The (count, 6) read-only array of every trial's FIELDS."""
+        numbers = np.stack(self._fields(*self.measured.T), axis=-1)
+        numbers.setflags(write=False)
+        return numbers
 
     def __len__(self) -> int:
         return len(self.ok)
@@ -269,7 +318,7 @@ class TrialBatch(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]  # negative indices count from the end; IndexError past it
-        values = dict(zip(self.FIELDS, self.numbers[i].tolist()))
+        values = dict(zip(self.FIELDS, self._fields(*self.measured[i].tolist())))
         note = self.notes.get(i, "")
         a0 = self.a if i in self.notes else values["a0_matched"]
         curve = PolarFourierCurve(a0, *self.coeffs[i])
@@ -292,12 +341,12 @@ def run_trials(
     target_L = length(Circle(a), cfg, grid).value
     circle_A = area(Circle(a), cfg, grid).value
     coeffs = np.empty((spec.count, 2, spec.harmonics))
-    numbers = np.full((spec.count, len(TrialBatch.FIELDS)), math.nan)
+    measured = np.full((spec.count, 3), math.nan)  # a0_matched, length, area
     ok = np.zeros(spec.count, dtype=bool)
     notes = {}
     for start, block, p, pd, lo, hi in _draw(spec, a, _harmonic_basis(grid.nodes, spec.harmonics)):
         coeffs[start:start + len(block)] = block
-        a0, L, errors = _match_rows(np.full(len(block), a), p, pd, lo, hi, target_L, cfg)
+        a0, L, errors = _match_rows(np.full(len(block), a), p, pd, lo, hi, target_L, cfg, spec.harmonics)
         for row, exc in errors.items():
             notes[start + row] = str(exc)
         good = [row for row in range(len(block)) if row not in errors]
@@ -307,9 +356,7 @@ def run_trials(
         # on the same r = a0 + p, which stays inside the matching bracket
         a0, L = a0[good], L[good]
         A = cfg.kappa * _trapezoid(signed_area_integrand(a0[:, None] + p[good]))
-        delta = A - circle_A
         index = [start + row for row in good]
-        numbers[index] = np.stack(
-            [a0, L, A, np.abs(L - target_L), delta, deficit_value(L, A, cfg)], axis=-1)
-        ok[index] = (delta < STRICT_DECREASE) | np.all(block[good] == 0.0, axis=(1, 2))
-    return TrialBatch(a, numbers, ok, coeffs, notes)
+        measured[index] = np.stack([a0, L, A], axis=-1)
+        ok[index] = (A - circle_A < STRICT_DECREASE) | np.all(block[good] == 0.0, axis=(1, 2))
+    return TrialBatch(a, measured, ok, coeffs, notes, target_L, circle_A, cfg.kappa)

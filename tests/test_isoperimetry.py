@@ -103,7 +103,7 @@ def match_rows(curves, target, cfg, n=1024):
     lo, hi = _base_interval(p, cos_c, sin_c)
     a0 = np.array([c.a0 for c in curves])
     assert np.all((lo < a0) & (a0 < hi))  # run_trials matches admissible draws only
-    return isoperimetry._match_rows(a0, p, pd, lo, hi, target, cfg)
+    return isoperimetry._match_rows(a0, p, pd, lo, hi, target, cfg, cos_c.shape[1])
 
 
 def match_length(curve, target, cfg, n=1024):
@@ -225,29 +225,32 @@ def test_match_length_reaches_the_roundoff_floor_near_the_rim():
 
 
 def test_match_length_stalls_when_the_steps_run_out(cfg_bh, monkeypatch):
-    # one Newton step per row leaves every row short of its target: each is
-    # reported stalled, as the per-trial reference reports it, with NaN
-    # numbers and the excess where its step took it, not where it entered
+    # one Newton step per stage leaves every row short of its target: each
+    # is reported stalled, as the per-trial reference reports it, with NaN
+    # numbers and the excess where its full-grid step took it, not where it
+    # entered (1.442e-01) or where the node-subset step took it (1.294e-03)
     monkeypatch.setattr(isoperimetry, "_MATCH_STEPS", 1)
     spec = PerturbationSpec(count=4)
     batch = run_trials(0.5, cfg_bh, spec)
     assert sorted(batch.notes) == [0, 1, 2, 3]
     assert all(note.startswith("length matching stalled at |dL| = ") for note in batch.notes.values())
-    assert batch.notes[0] == "length matching stalled at |dL| = 1.294e-03"  # 1.442e-01 on entry
+    assert batch.notes[0] == "length matching stalled at |dL| = 1.056e-07"
     assert not batch.ok.any() and np.isnan(batch.numbers).all()
     assert batch.notes == reference_trials(0.5, cfg_bh, spec)[2]
 
 
 def test_rows_that_use_up_their_steps_are_measured_where_they_end(cfg_bh, monkeypatch):
-    # every row takes all three Newton steps, and the last takes it to within
-    # MATCH_TOL of its target: the rows are matched, measured once more at
-    # the radius that step reached, as the per-trial reference matches them
-    monkeypatch.setattr(isoperimetry, "_MATCH_STEPS", 3)
+    # every row takes one Newton step on the node subset and one on all
+    # nodes, and the last takes it to within MATCH_TOL of its target: the
+    # rows are matched, measured once more on all nodes at the radius that
+    # step reached, as the per-trial reference matches them
+    monkeypatch.setattr(isoperimetry, "_MATCH_STEPS", 1)
     counts = count_trial_work(monkeypatch.setattr)
-    spec = PerturbationSpec(seed=42, count=20)
+    spec = PerturbationSpec(seed=42, epsilon=0.01, count=20)
     batch = run_trials(0.5, cfg_bh, spec)
     assert batch.notes == {} and batch.ok.all()
-    assert counts["integrand"] == (3 + 1) * len(batch)
+    assert counts["integrand"] == (1 + 1 + 1) * len(batch)
+    assert counts["full"] == (1 + 1) * len(batch)
     assert batch.numbers.tobytes() == reference_trials(0.5, cfg_bh, spec)[0].tobytes()
     for r in batch:
         assert length(r.curve, cfg_bh).value == r.length
@@ -285,6 +288,15 @@ def test_run_trials_zero_epsilon(cfg_bh):
         assert r.ok and r.delta_area == 0.0 and r.deficit <= 1e-10
 
 
+@pytest.mark.parametrize("harmonics", [1, 4, 16])
+@pytest.mark.parametrize("a", [0.05, 0.2, 0.5, 0.9, 0.99])
+def test_zero_epsilon_keeps_the_circle_radius_bitwise(a, harmonics, cfg_bh):
+    # the circle's excess is exactly 0 on all nodes, and on the node subset it
+    # is roundoff that takes no step, so every trial stays at a
+    for r in run_trials(a, cfg_bh, PerturbationSpec(harmonics=harmonics, epsilon=0.0, count=2)):
+        assert r.ok and r.a0_matched == a and r.length_err == 0.0 and r.delta_area == 0.0
+
+
 @pytest.mark.parametrize("harmonics", [1, 4, 8])
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_run_trials_measures_the_circle_as_length_does_bitwise(n, harmonics):
@@ -311,7 +323,7 @@ def test_run_trials_rotation_invariance(cfg_bh):
 
 
 def test_run_trials_records_failures(cfg_bh, monkeypatch):
-    def boom(a0, p, pd, lo, hi, target_L, cfg):
+    def boom(a0, p, pd, lo, hi, target_L, cfg, harmonics):
         return a0, a0, {row: VerificationError("no admissible bracket") for row in range(len(a0))}
 
     monkeypatch.setattr(isoperimetry, "_match_rows", boom)
@@ -363,7 +375,7 @@ def test_trial_batch_is_a_sequence(cfg_bh):
 
 
 def test_trial_batch_keeps_under_200_bytes_per_trial(cfg_bh):
-    # a retained list of TrialResult costs ~750 B per trial; the columns ~120 B
+    # a retained list of TrialResult costs ~750 B per trial; the columns ~95 B
     spec = PerturbationSpec(seed=6, count=200)
     run_trials(0.5, cfg_bh, PerturbationSpec(count=1))  # first-call allocations
     gc.collect()
@@ -383,19 +395,22 @@ def test_trials_skip_the_work_the_bound_and_the_lemma_make_redundant(cfg_bh, mon
     # every draw is admitted at its first try and every row reaches its
     # target, so there is one radius sum per accepted draw and no bracket end
     # is evaluated; a trial costs its Newton iterates, the first at the entry
-    # point, and is measured where they stop
+    # point on 128 of the 1024 nodes, and one iterate on all nodes, where it
+    # is measured
     counts = count_trial_work(monkeypatch.setattr)
     batch = run_trials(0.5, cfg_bh, PerturbationSpec(epsilon=0.05, count=200))
     assert batch.ok.all()
     assert counts["drawn"] == len(batch) and counts["ends"] == 0
-    assert 0 < counts["integrand"] <= 4.5 * len(batch)
+    assert 0 < counts["full"] <= 1.1 * len(batch)
+    assert counts["nodes"] <= 1600 * len(batch)  # 1536 measured: 4 x 128 + 1024
     # near the rim the excess cannot reach _NEWTON_TOL; rows stop on roundoff
     # within a step or two of it instead of iterating on
     counts.clear()
     batch = run_trials(0.95, cfg_bh, PerturbationSpec(seed=42, epsilon=0.01, count=40))
     assert batch.ok.all()
     assert counts["drawn"] == len(batch) and counts["ends"] == 0
-    assert 0 < counts["integrand"] <= 5 * len(batch)
+    assert 0 < counts["full"] <= 1.1 * len(batch)
+    assert counts["nodes"] <= 1750 * len(batch)  # 1680 measured
     # the counters see that work where it is needed: a redrawn draw sums its
     # radius again, and rows whose target is out of reach evaluate their
     # bracket ends
@@ -418,14 +433,17 @@ def test_trial_working_set_does_not_grow_with_count(cfg_bh):
             tracemalloc.stop()
 
     run_trials(0.5, cfg_bh, PerturbationSpec(count=1))  # first-call allocations
-    columns = 8 * len(TrialBatch.FIELDS) + 1 + 8 * 2 * PerturbationSpec.harmonics  # numbers, ok, coeffs
+    columns = 8 * 3 + 1 + 8 * 2 * PerturbationSpec.harmonics  # a0, L and A, ok, coeffs
     assert peak(800) - peak(200) <= 600 * columns + 64 * 1024
 
 
 # -- the per-trial reference --------------------------------------------------
 #    One trial at a time: the radius by its own angle-addition loop, each draw
-#    checked on its own, and a Newton iteration per trial.  run_trials, which
-#    draws and matches in blocks, must agree with it bitwise.
+#    checked on its own, and per trial a Newton iteration on the node subset
+#    followed by one on all nodes.  run_trials, which draws and matches in
+#    blocks, must agree with it bitwise.  full_grid_newton, Newton with every
+#    iterate on all nodes, is the oracle each matched radius must lie within
+#    1e-13 of.
 
 def reference_radius(a0, cos_c, sin_c, ts):
     """r = a0 + p and r' = p', the harmonics summed into p first."""
@@ -475,30 +493,57 @@ def reference_length(r, rd, cfg):
     return length_integrand(r, rd, cfg).mean() * TWO_PI
 
 
+def reference_stride(n, harmonics):
+    """Stride of the first stage's node subset: 32 K nodes rounded up to a power of two, or 0 past n/2."""
+    nodes = 32
+    while nodes < 32 * harmonics:
+        nodes *= 2
+    return n // nodes if nodes <= n // 2 else 0
+
+
+def reference_excess(x, p, pd, target, cfg):
+    """L - target and dL/da0 of r = x + p."""
+    r = x + p
+    speed = np.hypot(r, pd)
+    w = 1.0 - r * r
+    slope = TWO_PI * np.mean(2.0 * r / (speed * w) + 4.0 * r * speed / (w * w))
+    return reference_length(r, pd, cfg) - target, slope
+
+
 def reference_match(a0, c, s, target, cfg, ts):
-    if abs(reference_length(*reference_radius(a0, c, s, ts), cfg) - target) <= MATCH_TOL:
-        return a0
+    """The two-stage matcher on one trial: Newton on every m-th node moves the start point, Newton on all nodes matches."""
+    lo, hi = reference_interval(c, s, ts)
+    x = a0
+    stride = reference_stride(len(ts), len(c))
+    if stride:
+        p, pd = reference_radius(0.0, c, s, ts[::stride])
+        right = False  # f has been > 0
+        for _ in range(isoperimetry._MATCH_STEPS):
+            f, slope = reference_excess(x, p, pd, target, cfg)
+            step = x - f / slope
+            if abs(f) <= _NEWTON_TOL or (right and f <= 0.0) or step == x or not lo < step < hi:
+                break
+            right = right or f > 0.0
+            x = step
+    return full_grid_newton(x, c, s, target, cfg, ts)
+
+
+def full_grid_newton(x, c, s, target, cfg, ts):
+    """Newton from x with every iterate on all the nodes ts, one trial at a time."""
     lo, hi = reference_interval(c, s, ts)
     p, pd = reference_radius(0.0, c, s, ts)
 
-    def excess(x):
-        r = x + p
-        speed = np.hypot(r, pd)
-        w = 1.0 - r * r
-        slope = TWO_PI * np.mean(2.0 * r / (speed * w) + 4.0 * r * speed / (w * w))
-        return reference_length(r, pd, cfg) - target, slope
-
     def not_bracketed():
-        f_lo, f_hi = excess(lo)[0], excess(hi)[0]
+        f_lo = reference_excess(lo, p, pd, target, cfg)[0]
+        f_hi = reference_excess(hi, p, pd, target, cfg)[0]
         return VerificationError(
             f"target length {target} not bracketed on [{lo}, {hi}] "
             f"(excess {f_lo:.3e} and {f_hi:.3e})"
         )
 
-    x = a0
     right = False  # f has been > 0
     for _ in range(isoperimetry._MATCH_STEPS):
-        f, slope = excess(x)
+        f, slope = reference_excess(x, p, pd, target, cfg)
         step = x - f / slope
         if abs(f) <= _NEWTON_TOL or (right and f <= 0.0) or step == x:
             break
@@ -507,7 +552,7 @@ def reference_match(a0, c, s, target, cfg, ts):
         right = right or f > 0.0
         x = step if step < hi else hi
     else:  # the steps ran out: the row is judged where the last one took it
-        f = excess(x)[0]
+        f = reference_excess(x, p, pd, target, cfg)[0]
     if not abs(f) <= MATCH_TOL:
         raise VerificationError(f"length matching stalled at |dL| = {abs(f):.3e}")
     return x
@@ -560,8 +605,18 @@ def test_run_trials_equals_the_per_trial_reference_bitwise(a, b, form, seed, eps
     assert got.numbers.tobytes() == numbers.tobytes()
     assert got.ok.tolist() == ok.tolist()
     assert got.notes == notes
-    drawn = np.array([(c, s) for c, s in reference_draws(spec, a)])
-    assert got.coeffs.tobytes() == drawn.tobytes()
+    drawn = reference_draws(spec, a)
+    assert got.coeffs.tobytes() == np.array(drawn).tobytes()
+    # Newton with every iterate on all nodes ends within 1e-13 of each trial,
+    # or fails it with the same note
+    target, ts = length(Circle(a), cfg).value, TWO_PI * np.arange(1024) / 1024
+    for index, (c, s) in enumerate(drawn):
+        try:
+            oracle = full_grid_newton(a, c, s, target, cfg, ts)
+        except VerificationError as exc:
+            assert notes[index] == str(exc)
+        else:
+            assert abs(got[index].a0_matched - oracle) <= 1e-13
 
 
 @pytest.mark.parametrize("a, epsilon", [(0.5, 0.05), (0.95, 0.05), (0.99, 0.002)])
@@ -605,11 +660,11 @@ def test_match_rows_keep_their_own_iterations(cfg_bh):
     assert sorted(errors) == [5]
 
 
-def test_match_rows_keep_a0_exactly_where_the_reference_does(cfg_bh):
-    # the matcher's entry check, length and the reference sum one radius,
-    # a0 + p, so at the scales around the crossing of |excess| = MATCH_TOL,
-    # where the last bits decide, a row keeps its a0 exactly when length puts
-    # it within MATCH_TOL, and matches as the reference does
+def test_match_rows_match_rows_that_enter_within_match_tol(cfg_bh):
+    # at the scales around the crossing of |excess| = MATCH_TOL a row is
+    # matched on to the Newton stop whether length puts it within MATCH_TOL
+    # or not: it leaves a0, ends within _NEWTON_TOL of the target, within
+    # 1e-13 of Newton on all nodes, and matches as the reference does
     a, ts = 0.5, TWO_PI * np.arange(1024) / 1024
     target = length(Circle(a), cfg_bh).value
     c0, s0 = np.array([0.7, -0.3, 0.2]), np.array([0.4, 0.1, -0.5])
@@ -624,11 +679,12 @@ def test_match_rows_keep_a0_exactly_where_the_reference_does(cfg_bh):
     keeps = set()
     for t in lo * (1.0 + 1e-7 * np.arange(-20, 21)):
         curve = PolarFourierCurve(a, tuple(t * c0), tuple(t * s0))
-        keep = abs(length(curve, cfg_bh).value - target) <= MATCH_TOL
-        got = match_length(curve, target, cfg_bh).a0
-        assert (got == a) == keep
-        assert got == reference_match(a, t * c0, t * s0, target, cfg_bh, ts)
-        keeps.add(keep)
+        keeps.add(abs(length(curve, cfg_bh).value - target) <= MATCH_TOL)
+        matched = match_length(curve, target, cfg_bh)
+        assert matched.a0 != a
+        assert abs(length(matched, cfg_bh).value - target) <= _NEWTON_TOL
+        assert abs(matched.a0 - full_grid_newton(a, t * c0, t * s0, target, cfg_bh, ts)) <= 1e-13
+        assert matched.a0 == reference_match(a, t * c0, t * s0, target, cfg_bh, ts)
     assert keeps == {True, False}
 
 
