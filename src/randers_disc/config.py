@@ -30,7 +30,7 @@ class VolumeForm(enum.Enum):
             raise DomainError(f"unknown volume form {value!r}; expected one of {names}") from None
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RandersConfig:
     """b is the constant alpha-norm of the drift one-form; 0 <= b < 1."""
 

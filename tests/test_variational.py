@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +31,10 @@ from randers_disc import (
 from randers_disc import fd, variational
 from randers_disc.curves import TWO_PI
 from randers_disc.variational import determinant_curve, lagrangian, second_variation_matrix
+from tests.conftest import GRID
+
+# the benchmark gate's certificate points: the acceptance grid and one rim circle
+GATE_POINTS = [*GRID, (0.99, 0.0, VolumeForm.BUSEMANN_HAUSDORFF)]
 
 # frozen chart/scan oracles at a=1/2, b=3/10, Busemann-Hausdorff
 FROZEN = {
@@ -367,6 +373,72 @@ def test_rk4_detects_true_crossings():
     assert bool(np.any(interior[:-1] * interior[1:] < 0.0))
 
 
+def reference_rk4_determinants(h1, h2, U, n_steps, stride):
+    """The scan as a step-by-step loop: X = R^stride X once per scan point."""
+    HA = (TWO_PI / n_steps) * np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [h2 / h1, 0.0, 0.0, U / h1],
+            [U, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    eye = np.eye(4)
+    R = eye
+    X = eye[:, [0, 1, 3]]
+    out = np.empty(n_steps // stride)
+    for k in (4.0, 3.0, 2.0, 1.0):
+        R = eye + (HA @ R) / k
+    step = np.linalg.matrix_power(R, stride)
+    for i in range(out.size):
+        X = step @ X
+        out[i] = X[0, 1] * X[2, 2] - X[0, 2] * X[2, 1]
+    return out
+
+
+def scan_verdicts(Ds):
+    """(sign change, |D| under the floor) on the scan grid, by conjugate_scan's rules."""
+    cs = TWO_PI * np.arange(1, Ds.size + 1) / Ds.size
+    interior = Ds[:-1]
+    gapped = (cs[:-1] >= variational._MIN_GAP) & (cs[:-1] <= TWO_PI - variational._MIN_GAP)
+    floor = variational._ZERO_REL_TOL * np.max(np.abs(Ds))
+    return bool(np.any(interior[:-1] * interior[1:] < 0.0)), bool(np.any(np.abs(interior[gapped]) < floor))
+
+
+def test_batched_scan_matches_the_step_loop():
+    # the powers are grouped differently, so only the rounding may move
+    systems = []
+    for a, b, form in GATE_POINTS + [(0.99, 0.3, "min"), (0.999, 0.0, "bh"), (0.999, 0.7, "max")]:
+        cfg = RandersConfig(b, form)
+        J = jacobi_coeffs(Circle(a), cfg.kappa, lambda_for_circle(a, cfg))
+        systems.append((J.h1, J.h2, J.U))
+    systems.append((-1.0, 4.0, 1.0))  # the planted oscillator below
+    for system in systems:
+        for n_steps, stride in ((4096, 8), (8192, 16)):
+            loop = reference_rk4_determinants(*system, n_steps, stride)
+            batched = variational._rk4_determinants(*system, n_steps, stride)
+            assert np.max(np.abs(batched - loop)) <= 1e-12 * np.max(np.abs(loop)), system
+            assert scan_verdicts(batched) == scan_verdicts(loop), system
+
+
+def test_conjugate_scan_sees_a_sign_change_above_the_floor(monkeypatch):
+    # with h2 = -3 h1, D has interior zeros between scan nodes and its smallest
+    # gapped |D| (5.5e-6) stays above the 1e-10 relative floor, so only the
+    # sign-change rule reports them; at -4 the zeros fall on nodes instead
+    cfg = RandersConfig(0.3, VolumeForm.HOLMES_THOMPSON)
+    real = variational.jacobi_coeffs
+
+    def planted(circle, kap, lam, t=0.0):
+        J = real(circle, kap, lam, t)
+        return dataclasses.replace(J, h2=-3.0 * J.h1)
+
+    monkeypatch.setattr(variational, "jacobi_coeffs", planted)
+    rep = conjugate_scan(Circle(0.5), cfg.kappa, lambda_for_circle(0.5, cfg))
+    _, Ds = determinant_curve(rep.coeffs)
+    assert rep.min_abs_D > variational._ZERO_REL_TOL * np.max(np.abs(Ds))
+    assert rep.zero_crossing is True
+
+
 def test_conjugate_scan_consistency_guard(circle_half, system_half, monkeypatch):
     calls = {"n": 0}
     real = variational._rk4_determinants
@@ -597,6 +669,37 @@ def test_rim_hessian_blocks_finite_and_second_variation_negative(b):
     assert build_certificate(a, cfg).second_variation_max < 0.0
 
 
+def reference_hessian_blocks(a, kap, lam, ts):
+    """hessian_blocks entry by entry: one stencil call per entry, 36 lagrangian calls."""
+    points, velocities = Circle(a).batch(ts)
+    args = np.concatenate([points.T, velocities.T])
+    hv = variational._BLOCK_REL_STEP_V * a
+    hx = min(variational._BLOCK_STEP_X, 0.25 * (1.0 - a))
+    steps = [hx, hx, hv, hv]
+    unit = np.eye(4)
+
+    def h_moved(shift):
+        return lagrangian(*(args + shift[:, None]), kap, lam)
+
+    H = np.empty((4, 4, len(ts)))
+    for i in range(4):
+        H[i, i] = fd.d2_central(lambda s: h_moved(s * unit[i]), 0.0, steps[i])
+        for j in range(i + 1, 4):
+            H[i, j] = H[j, i] = fd.mixed_2nd(
+                lambda s, u: h_moved(s * unit[i] + u * unit[j]), 0.0, 0.0, steps[i], steps[j]
+            )
+    return H
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8, 0.99, 0.99999])
+@pytest.mark.parametrize("b, form", [(0.0, "ht"), (0.3, "bh"), (0.7, "min")])
+def test_hessian_blocks_equal_the_entry_loop_bitwise(a, b, form):
+    cfg = RandersConfig(b, form)
+    kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
+    ts = variational._variation_basis()[0]
+    assert np.array_equal(variational.hessian_blocks(a, kap, lam, ts), reference_hessian_blocks(a, kap, lam, ts))
+
+
 # -- certificate --------------------------------------------------------------
 
 def test_certificate_passes_at_reference_point(cfg_bh):
@@ -699,6 +802,23 @@ def test_certificate_holds_no_arrays(cfg_bh):
     cert = build_certificate(0.5, cfg_bh)
     assert cert.conjugate is not None
     assert list(arrays_in(cert, "cert")) == []
+
+
+def test_certificate_keeps_under_800_bytes():
+    # a retained certificate with its config costs ~700 B with slotted
+    # dataclasses and one shared basis note, ~1160 B without them
+    build_certificate(0.5, RandersConfig(0.3))  # first-call allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certs = [build_certificate(0.5, RandersConfig(0.3)) for _ in range(10)]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(cert.passed for cert in certs)
+    assert kept <= 800 * len(certs)
 
 
 def test_certificate_json_shape(cfg_bh):
