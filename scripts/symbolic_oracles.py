@@ -83,6 +83,30 @@ def main() -> int:
         sp.simplify((sp.diff(h, v1, 2) + sp.diff(h, v2, 2)).subs(circ)).subs(nums), 17
     ))
 
+    print("\n== Hessian of h on the circle, in the frame e_r, e_t ==")
+    a_pos = sp.Symbol("a", positive=True)   # |v| = a on the circle needs a > 0
+    Hc = sp.hessian(h, (x1, x2, v1, v2)).subs(circ).subs(a, a_pos)
+    er = sp.Matrix([sp.cos(t), sp.sin(t)])
+    et = sp.Matrix([-sp.sin(t), sp.cos(t)])
+    s_c = 1 - a_pos**2
+    N_c = 2 * kap * a_pos**2 + 2 * lam * a_pos
+    frame = {
+        "c_rr": 8 * a_pos**2 * (kap + N_c / s_c) / s_c**2,   # e_r e_r^T in h_xx
+        "c_N": 2 * N_c / s_c**2,                             # I in h_xx, e_r e_t^T in h_xv
+        "c_rot": 2 * kap / s_c,                              # [[0, 1], [-1, 0]] in h_xv
+        "c_vv": 2 * lam / (a_pos * s_c),                     # e_r e_r^T in h_vv
+    }
+    h_xv = frame["c_rot"] * sp.Matrix([[0, 1], [-1, 0]]) + frame["c_N"] * er * et.T
+    closed = sp.BlockMatrix([
+        [frame["c_rr"] * er * er.T + frame["c_N"] * sp.eye(2), h_xv],
+        [h_xv.T, frame["c_vv"] * er * er.T],
+    ]).as_explicit()
+    residual = (Hc - closed).applyfunc(lambda e: sp.cancel(sp.trigsimp(e)))
+    print("H - circle form simplifies to:", residual)  # the zero matrix
+    print("at a=1/2, b=3/10, bh:")
+    for name, coeff in frame.items():
+        print(f"  {name} =", sp.N(coeff.subs(a_pos, a).subs(nums), 17))
+
     print("\n== conjugate-point determinant, constant-coefficient reduction ==")
     U_, h1_ = sp.symbols("U h1", real=True)
     # theta1, theta2 solve y'' = -y; theta3 carries the unit multiplier forcing

@@ -3,7 +3,7 @@ Randers Poincare disc: metric construction, length/area functionals under
 four volume forms, extremality certificates, and perturbation trials."""
 
 from .config import RandersConfig, VolumeForm
-from .curves import Circle, PolarFourierCurve, check_admissible, require_admissible
+from .curves import Circle, PolarFourierCurve, check_admissible
 from .errors import DomainError, VerificationError
 from .functionals import QuadratureGrid, area, circle_closed_forms, length
 from .isoperimetry import PerturbationSpec, deficit_value, run_trials
@@ -68,7 +68,6 @@ __all__ = [
     "length",
     "normality",
     "potential",
-    "require_admissible",
     "run_trials",
     "solve_lambda_numeric",
     "weierstrass_E",

@@ -195,7 +195,3 @@ def check_admissible(curve: PolarFourierCurve) -> bool:
     |velocity| >= r above the margin.
     """
     return _node_samples(curve, QuadratureGrid())[2]
-
-
-def require_admissible(curve: PolarFourierCurve) -> None:
-    _admissible_samples(curve, QuadratureGrid())

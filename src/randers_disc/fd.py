@@ -1,7 +1,7 @@
 """Finite-difference stencils on float- or array-valued callables.
 
 The point and step may be arrays too, so one call differences a whole
-array of nodes (hessian_blocks, normality, metric._position_gradient).
+array of nodes (normality, hessian_velocity_form, metric._position_gradient).
 
 Second-order stencils are fine for most checks here, but the 1e-8
 agreement targets on velocity Hessians need the 4th-order variants:

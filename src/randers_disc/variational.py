@@ -38,8 +38,6 @@ _RATE_STEP = 1e-2             # Jacobi step in t for d/dt K
 _ZERO_REL_TOL = 1e-10         # |D| below this fraction of max |D| counts as a zero
 _MIN_GAP = 0.05               # the |D| floor skips c within this of 0 and 2*pi
 _CONSISTENCY_TOL = 1e-8       # allowed relative change of D under step halving
-_BLOCK_STEP_X = 1e-5          # position step of hessian_blocks, before the rim cap
-_BLOCK_REL_STEP_V = 1e-4      # velocity step of hessian_blocks, relative to a
 _T_SAMPLES = 64               # certificate samples of t for the EL and normality checks
 
 CERT_TOL = 1e-6               # default EL residual ceiling and normality floor, read by the CLI
@@ -416,31 +414,31 @@ def _onto_kernel(vecs: np.ndarray, ell: np.ndarray) -> np.ndarray:
 
 
 def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarray:
-    """All second partials of h along the circle, shape (4, 4, len(ts)).
+    """All second partials of h along the circle, shape (4, 4, len(ts)), in closed form.
 
-    Argument order (x1, x2, v1, v2); central differences, vectorized over
-    nodes and stacked over entries: each stencil offset is one lagrangian
-    call for the four diagonal entries and one for the six above it.
+    Argument order (x1, x2, v1, v2).  With h = N/s, N = 2 kap (x1 v2 - x2 v1)
+    + 2 lam |v| and s = 1 - |x|^2, the quotient rule at x = a e_r, v = a e_t,
+    e_r = (cos t, sin t), e_t = (-sin t, cos t), gives
+        h_xx = (8 a^2/s^2)(kap + N/s) e_r e_r^T + (2 N/s^2) I,
+        h_xv = (2 kap/s) [[0, 1], [-1, 0]] + (2 N/s^2) e_r e_t^T = h_vx^T,
+        h_vv = (2 lam/(a s)) e_r e_r^T.
+    At the extremal multiplier kap a + lam and kap + N/s both cancel, so the
+    blocks are accurate to about eps/(1 - a^2)^2 of max |H|: the conditioning
+    of h itself, which any evaluation of it inherits.
     Probe-independent, so certificates compute this once.
     """
-    points, velocities = Circle(a).batch(ts)
-    args = np.concatenate([points.T, velocities.T])[:, None, :]
-    hv = _BLOCK_REL_STEP_V * a
-    # capped at a quarter of the rim distance, as in jacobi_coeffs, so no stencil leaves the disc
-    hx = min(_BLOCK_STEP_X, 0.25 * (1.0 - a))
-    steps = np.array([hx, hx, hv, hv])[:, None]
-    unit = np.eye(4)[:, :, None]   # unit[k, e]: argument k moves for stacked entry e
-    diag = np.arange(4)
-    i, j = np.triu_indices(4, 1)
-
-    def h_moved(shift: np.ndarray) -> np.ndarray:
-        return lagrangian(*(args + shift), kap, lam)
-
+    require_radius(a)
+    s = 1.0 - a * a
+    n_s = 2.0 * a * (kap * a + lam) / s   # N/s on the circle
+    er = np.stack([np.cos(ts), np.sin(ts)])
+    rr = er[:, None] * er[None, :]
+    rt = er[:, None] * np.stack([-er[1], er[0]])[None, :]
+    eye, rot = np.eye(2)[:, :, None], np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]
     H = np.empty((4, 4, len(ts)))
-    H[diag, diag] = fd.d2_central(lambda s: h_moved(s * unit), 0.0, steps)
-    H[i, j] = H[j, i] = fd.mixed_2nd(
-        lambda s, u: h_moved(s * unit[:, i] + u * unit[:, j]), 0.0, 0.0, steps[i], steps[j]
-    )
+    H[:2, :2] = (8.0 * a * a / (s * s)) * (kap + n_s) * rr + (2.0 * n_s / s) * eye
+    H[:2, 2:] = (2.0 * kap / s) * rot + (2.0 * n_s / s) * rt
+    H[2:, :2] = H[:2, 2:].transpose(1, 0, 2)
+    H[2:, 2:] = (2.0 * lam / (a * s)) * rr
     return H
 
 
@@ -450,16 +448,18 @@ def second_variation_matrix(blocks: np.ndarray) -> np.ndarray:
     Component c of a basis field fills position slot c with the window basis
     and velocity slot 2 + c with its derivative, so the (c, d) block of M is
     the trapezoid sum of F_i (w H_ij) F_j over i in {c, 2+c}, j in {d, 2+d}.
+    H is symmetric, so the (1, 0) block is the transpose of the (0, 1) block;
+    the diagonal blocks are symmetric only up to rounding, hence the last step.
     """
     _, w, B, dB = _variation_basis()
     F = (B, B, dB, dB)
     m = len(B)
     M = np.empty((2 * m, 2 * m))
-    for c in range(2):
-        for d in range(2):
-            M[c * m:(c + 1) * m, d * m:(d + 1) * m] = sum(
-                (F[i] * (w * blocks[i, j])) @ F[j].T for i in (c, 2 + c) for j in (d, 2 + d)
-            )
+    for c, d in ((0, 0), (0, 1), (1, 1)):
+        M[c * m:(c + 1) * m, d * m:(d + 1) * m] = sum(
+            (F[i] * (w * blocks[i, j])) @ F[j].T for i in (c, 2 + c) for j in (d, 2 + d)
+        )
+    M[m:, :m] = M[:m, m:].T
     return 0.5 * (M + M.T)
 
 

@@ -14,7 +14,6 @@ from randers_disc import (
     circle_closed_forms,
     lambda_for_circle,
     length,
-    require_admissible,
     run_trials,
 )
 from randers_disc.curves import (
@@ -255,7 +254,7 @@ def test_admissibility_cases():
     # leaves the disc
     assert not check_admissible(PolarFourierCurve(0.95, (0.1,), (0.0,)))
     with pytest.raises(VerificationError, match="leaves the admissible polar-graph class"):
-        require_admissible(PolarFourierCurve(0.5, (0.6,), (0.0,)))
+        length(PolarFourierCurve(0.5, (0.6,), (0.0,)), RandersConfig(0.3))
 
 
 def test_rotation_shifts_the_radius_function():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 import tracemalloc
@@ -48,6 +49,11 @@ FROZEN = {
     "D_half_pi": 2.289009475408,
     "D_pi": 21.332617759909,
     "D_three_half_pi": 35.798207093593,
+    # hessian_blocks in the circle frame e_r, e_t (scripts/symbolic_oracles.py)
+    "blocks_rr": 1.8519139696840972,
+    "blocks_N": -0.92595698484204858,
+    "blocks_rot": 2.3148924621051214,
+    "blocks_vv": -3.7038279393681943,
 }
 
 
@@ -661,7 +667,7 @@ def test_variation_basis_is_shared_and_read_only():
 
 @pytest.mark.parametrize("b", [0.0, 0.3])
 def test_rim_hessian_blocks_finite_and_second_variation_negative(b):
-    # an uncapped 1e-5 position step reaches |x| = 1 at a = 0.99999
+    # 1 - a^2 = 2e-5: the blocks grow like 1/(1 - a^2)^3 and must stay finite
     a = 0.99999
     cfg = RandersConfig(b)
     blocks = variational.hessian_blocks(a, cfg.kappa, lambda_for_circle(a, cfg), np.linspace(0.0, TWO_PI, 1025))
@@ -669,12 +675,15 @@ def test_rim_hessian_blocks_finite_and_second_variation_negative(b):
     assert build_certificate(a, cfg).second_variation_max < 0.0
 
 
-def reference_hessian_blocks(a, kap, lam, ts):
-    """hessian_blocks entry by entry: one stencil call per entry, 36 lagrangian calls."""
+def stencil_hessian_blocks(a, kap, lam, ts):
+    """The defining form: second central differences of lagrangian, one stencil per entry.
+
+    Position step 1e-5, capped at a quarter of the rim distance so no stencil
+    leaves the disc; velocity step 1e-4 a.
+    """
     points, velocities = Circle(a).batch(ts)
     args = np.concatenate([points.T, velocities.T])
-    hv = variational._BLOCK_REL_STEP_V * a
-    hx = min(variational._BLOCK_STEP_X, 0.25 * (1.0 - a))
+    hx, hv = min(1e-5, 0.25 * (1.0 - a)), 1e-4 * a
     steps = [hx, hx, hv, hv]
     unit = np.eye(4)
 
@@ -691,13 +700,59 @@ def reference_hessian_blocks(a, kap, lam, ts):
     return H
 
 
-@pytest.mark.parametrize("a", [0.2, 0.5, 0.8, 0.99, 0.99999])
+@functools.cache
+def symbolic_hessian():
+    """The sympy Hessian of h in (x1, x2, v1, v2), evaluated by mpmath."""
+    sp = pytest.importorskip("sympy")
+    x1, x2, v1, v2, kap, lam = sp.symbols("x1 x2 v1 v2 kappa lambda", real=True)
+    h = (2 * kap * (x1 * v2 - x2 * v1) + 2 * lam * sp.sqrt(v1**2 + v2**2)) / (1 - x1**2 - x2**2)
+    return sp.lambdify((x1, x2, v1, v2, kap, lam), sp.hessian(h, (x1, x2, v1, v2)), "mpmath")
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8, 0.99])
 @pytest.mark.parametrize("b, form", [(0.0, "ht"), (0.3, "bh"), (0.7, "min")])
-def test_hessian_blocks_equal_the_entry_loop_bitwise(a, b, form):
+def test_hessian_blocks_agree_with_the_stencil(a, b, form):
+    # the stencil's truncation and rounding: 1.2e-7 (a = 0.2) to 4.7e-6 (a = 0.99)
     cfg = RandersConfig(b, form)
     kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
     ts = variational._variation_basis()[0]
-    assert np.array_equal(variational.hessian_blocks(a, kap, lam, ts), reference_hessian_blocks(a, kap, lam, ts))
+    H = variational.hessian_blocks(a, kap, lam, ts)
+    assert np.max(np.abs(H - stencil_hessian_blocks(a, kap, lam, ts))) <= 1e-5 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.99, 0.99999])
+@pytest.mark.parametrize("b, form", [(0.0, "ht"), (0.3, "bh"), (0.7, "min")])
+def test_hessian_blocks_agree_with_the_symbolic_hessian(a, b, form):
+    # kap a + lam and kap + N/s cancel at the extremal: the conditioning of h is ~1/(1 - a^2)^2
+    hessian = symbolic_hessian()
+    mpmath = pytest.importorskip("mpmath")
+    cfg = RandersConfig(b, form)
+    kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
+    ts = variational._variation_basis()[0][::64]
+    exact = np.empty((4, 4, len(ts)))
+    with mpmath.workdps(30):
+        for n, t in enumerate(ts):
+            c, s = a * mpmath.cos(t), a * mpmath.sin(t)
+            exact[:, :, n] = np.array(hessian(c, s, -s, c, kap, lam).tolist(), dtype=float)
+    H = variational.hessian_blocks(a, kap, lam, ts)
+    tol = 8.0 * np.finfo(float).eps / (1.0 - a * a) ** 2
+    assert np.max(np.abs(H - exact)) <= tol * np.max(np.abs(exact))
+
+
+def test_hessian_blocks_match_the_frozen_circle_frame():
+    lam, cfg = lam_of(0.5, 0.3)
+    ts = variational._variation_basis()[0]
+    er = np.stack([np.cos(ts), np.sin(ts)])
+    et = np.stack([-er[1], er[0]])
+    rr, rt = er[:, None] * er[None, :], er[:, None] * et[None, :]
+    eye, rot = np.eye(2)[:, :, None], np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]
+    want = np.empty((4, 4, len(ts)))
+    want[:2, :2] = FROZEN["blocks_rr"] * rr + FROZEN["blocks_N"] * eye
+    want[:2, 2:] = FROZEN["blocks_rot"] * rot + FROZEN["blocks_N"] * rt
+    want[2:, :2] = want[:2, 2:].transpose(1, 0, 2)
+    want[2:, 2:] = FROZEN["blocks_vv"] * rr
+    H = variational.hessian_blocks(0.5, cfg.kappa, lam, ts)
+    assert np.allclose(H, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
 
 
 # -- certificate --------------------------------------------------------------
