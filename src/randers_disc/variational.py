@@ -12,7 +12,9 @@ A circle passes when, with its multiplier lam = -2 a kappa/(1 + a^2):
   (iv)  the second variation, one symmetric matrix on a windowed trigonometric
         basis, is negative on random probes projected onto the linearized
         length constraint, and the Jacobi determinant D(c) has no interior
-        zero over one period,
+        zero over one period; the matrix is a four-term combination of basis
+        matrices cached once per process, weighted by the four coefficients
+        of the Hessian of h on the circle,
   (v)   the velocity Hessian of h is negative off the tangent direction.
 """
 from __future__ import annotations
@@ -262,7 +264,7 @@ def jacobi_coeffs(circle: Circle, kap: float, lam: float, t: float = 0.0) -> Jac
     # d/dt (v1/v2) along the circle, analytically: (a1 v2 - v1 a2)/v2^2 = -1/cos^2
     dtan = -1.0 / (math.cos(t) * math.cos(t))
     U = (g_x1v2 - g_v1x2) - g_v1v1 * dtan
-    return JacobiCoefficients(h1=h1, h2=h2, K=K, U=U)
+    return JacobiCoefficients(h1=float(h1), h2=float(h2), K=float(K), U=float(U))
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -372,7 +374,9 @@ def conjugate_scan(circle: Circle, kap: float, lam: float) -> ConjugateScanRepor
 # -- second variation ------------------------------------------------------------
 #    A probe is a coefficient vector v on the window basis, component 1 then
 #    component 2.  J'' is the quadratic form v . M v, and the linearized length
-#    constraint the linear form ell . v; M and ell are assembled once per circle.
+#    constraint the linear form ell . v.  On a circle both are fixed linear
+#    combinations of basis forms that do not depend on the circle: M of four
+#    matrices, one per coefficient of the Hessian of h, and ell of two vectors.
 
 @functools.cache
 def _variation_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -380,7 +384,8 @@ def _variation_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
     ts and w are the nodes and weights (the window is not periodic); B is
     sin(t/2) * [1, cos kt, sin kt (k=1..PROBE_HARMONICS)] and dB its
-    t-derivative, each (13, len(ts)).  Built once and shared, so read-only.
+    t-derivative, each (13, len(ts)).  Built once and shared, so read-only;
+    _variation_forms integrates the circle's basis forms on it.
     """
     n = VARIATION_PANELS
     ts = np.linspace(0.0, TWO_PI, n + 1)
@@ -398,11 +403,44 @@ def _variation_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return basis
 
 
+@functools.cache
+def _variation_forms() -> tuple[np.ndarray, np.ndarray]:
+    """(Ms, ells): the basis forms of M and ell on the window basis, built once and read-only.
+
+    Ms, shape (4, 26, 26), holds M_A, M_N, M_C, M_E, the matrices
+    second_variation_matrix assembles from each of the four Hessian patterns,
+    so M = A M_A + N M_N + C M_C + E M_E for the coefficients of
+    _hessian_coefficients.  ells, shape (2, 26), holds ell_r and ell_t, the
+    integrals of e_r . y and e_t . ydot: on the circle g_x = (4 a^2/s^2) e_r
+    and g_v = (2/s) e_t, with s = 1 - a^2.
+    """
+    ts, w, B, dB = _variation_basis()
+    Ms = np.stack([second_variation_matrix(pattern) for pattern in _hessian_patterns(ts)])
+    er = np.stack([np.cos(ts), np.sin(ts)])
+    et = np.stack([-er[1], er[0]])
+    ells = np.stack([np.concatenate([F @ (w * e[c]) for c in range(2)]) for F, e in ((B, er), (dB, et))])
+    for array in (Ms, ells):
+        array.flags.writeable = False
+    return Ms, ells
+
+
 def constraint_vector(circle: Circle) -> np.ndarray:
     """ell on each coefficient basis element: integral of g_x . y + g_v . ydot (length 26)."""
-    ts, w, B, dB = _variation_basis()
-    gx, gv = _g_gradients(*circle.batch(ts))
-    return np.concatenate([B @ (w * gx[:, c]) + dB @ (w * gv[:, c]) for c in range(2)])
+    a = circle.a
+    s = 1.0 - a * a
+    ell_r, ell_t = _variation_forms()[1]
+    return (4.0 * a * a / (s * s)) * ell_r + (2.0 / s) * ell_t
+
+
+def circle_variation_matrix(a: float, kap: float, lam: float) -> np.ndarray:
+    """Symmetric M with J''(v) = v . M v on the circle of radius a, from the cached basis forms.
+
+    Equal, up to rounding, to second_variation_matrix of hessian_blocks on the
+    basis nodes; each term is exactly symmetric, so M is too.
+    """
+    A, N, C, E = _hessian_coefficients(a, kap, lam)
+    M_A, M_N, M_C, M_E = _variation_forms()[0]
+    return A * M_A + N * M_N + C * M_C + E * M_E
 
 
 def _onto_kernel(vecs: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -413,6 +451,39 @@ def _onto_kernel(vecs: np.ndarray, ell: np.ndarray) -> np.ndarray:
     return vecs - np.multiply.outer(vecs @ ell / norm2, ell)
 
 
+def _hessian_coefficients(a: float, kap: float, lam: float) -> tuple[float, float, float, float]:
+    """(A, N, C, E), the four scalars of the Hessian of h on the circle (see hessian_blocks).
+
+    With s = 1 - a^2 and n_s = 2 a (kap a + lam)/s (N/s on the circle):
+    A = (8 a^2/s^2)(kap + n_s), N = 2 n_s/s, C = 2 kap/s, E = 2 lam/(a s).
+    """
+    require_radius(a)
+    s = 1.0 - a * a
+    n_s = 2.0 * a * (kap * a + lam) / s
+    return (8.0 * a * a / (s * s)) * (kap + n_s), 2.0 * n_s / s, 2.0 * kap / s, 2.0 * lam / (a * s)
+
+
+def _hessian_patterns(ts: np.ndarray) -> np.ndarray:
+    """The four (4, 4, len(ts)) patterns whose combination by (A, N, C, E) is the Hessian.
+
+    With e_r = (cos t, sin t) and e_t = (-sin t, cos t): A e_r e_r^T in h_xx;
+    N I in h_xx and e_r e_t^T in h_xv; C [[0, 1], [-1, 0]] in h_xv; E e_r e_r^T
+    in h_vv; h_vx is the transpose of h_xv.
+    """
+    er = np.stack([np.cos(ts), np.sin(ts)])
+    rr = er[:, None] * er[None, :]
+    rt = er[:, None] * np.stack([-er[1], er[0]])[None, :]
+    P = np.zeros((4, 4, 4, len(ts)))
+    A, N, C, E = P
+    A[:2, :2] = rr
+    N[:2, :2] = np.eye(2)[:, :, None]
+    N[:2, 2:] = rt
+    C[:2, 2:] = np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]
+    E[2:, 2:] = rr
+    P[:, 2:, :2] = P[:, :2, 2:].transpose(0, 2, 1, 3)
+    return P
+
+
 def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarray:
     """All second partials of h along the circle, shape (4, 4, len(ts)), in closed form.
 
@@ -421,25 +492,13 @@ def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarr
     e_r = (cos t, sin t), e_t = (-sin t, cos t), gives
         h_xx = (8 a^2/s^2)(kap + N/s) e_r e_r^T + (2 N/s^2) I,
         h_xv = (2 kap/s) [[0, 1], [-1, 0]] + (2 N/s^2) e_r e_t^T = h_vx^T,
-        h_vv = (2 lam/(a s)) e_r e_r^T.
+        h_vv = (2 lam/(a s)) e_r e_r^T,
+    the combination of _hessian_patterns by _hessian_coefficients.
     At the extremal multiplier kap a + lam and kap + N/s both cancel, so the
     blocks are accurate to about eps/(1 - a^2)^2 of max |H|: the conditioning
     of h itself, which any evaluation of it inherits.
-    Probe-independent, so certificates compute this once.
     """
-    require_radius(a)
-    s = 1.0 - a * a
-    n_s = 2.0 * a * (kap * a + lam) / s   # N/s on the circle
-    er = np.stack([np.cos(ts), np.sin(ts)])
-    rr = er[:, None] * er[None, :]
-    rt = er[:, None] * np.stack([-er[1], er[0]])[None, :]
-    eye, rot = np.eye(2)[:, :, None], np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]
-    H = np.empty((4, 4, len(ts)))
-    H[:2, :2] = (8.0 * a * a / (s * s)) * (kap + n_s) * rr + (2.0 * n_s / s) * eye
-    H[:2, 2:] = (2.0 * kap / s) * rot + (2.0 * n_s / s) * rt
-    H[2:, :2] = H[:2, 2:].transpose(1, 0, 2)
-    H[2:, 2:] = (2.0 * lam / (a * s)) * rr
-    return H
+    return np.tensordot(_hessian_coefficients(a, kap, lam), _hessian_patterns(ts), 1)
 
 
 def second_variation_matrix(blocks: np.ndarray) -> np.ndarray:
@@ -448,17 +507,25 @@ def second_variation_matrix(blocks: np.ndarray) -> np.ndarray:
     Component c of a basis field fills position slot c with the window basis
     and velocity slot 2 + c with its derivative, so the (c, d) block of M is
     the trapezoid sum of F_i (w H_ij) F_j over i in {c, 2+c}, j in {d, 2+d}.
-    H is symmetric, so the (1, 0) block is the transpose of the (0, 1) block;
-    the diagonal blocks are symmetric only up to rounding, hence the last step.
+    H is symmetric, so the (1, 0) block is the transpose of the (0, 1) block,
+    and in a diagonal block the (2+c, c) term is the transpose of the (c, 2+c)
+    term: the latter is taken twice and the last step, which symmetrises,
+    splits it.  An entry of H that vanishes on every node is skipped.
+    This is the generic assembler; _variation_forms builds the certificate's
+    basis forms with it, once.
     """
     _, w, B, dB = _variation_basis()
     F = (B, B, dB, dB)
     m = len(B)
-    M = np.empty((2 * m, 2 * m))
+    nonzero = blocks.any(axis=-1)
+    M = np.zeros((2 * m, 2 * m))
     for c, d in ((0, 0), (0, 1), (1, 1)):
-        M[c * m:(c + 1) * m, d * m:(d + 1) * m] = sum(
-            (F[i] * (w * blocks[i, j])) @ F[j].T for i in (c, 2 + c) for j in (d, 2 + d)
-        )
+        for i in (c, 2 + c):
+            for j in (d, 2 + d):
+                if c == d and i > j or not nonzero[i, j]:
+                    continue
+                weight = (2.0 if c == d and i < j else 1.0) * w * blocks[i, j]
+                M[c * m:(c + 1) * m, d * m:(d + 1) * m] += (F[i] * weight) @ F[j].T
     M[m:, :m] = M[:m, m:].T
     return 0.5 * (M + M.T)
 
@@ -561,7 +628,7 @@ def build_certificate(
         return value
 
     def probe_max() -> float:
-        M = second_variation_matrix(hessian_blocks(a, kap, lam, _variation_basis()[0]))
+        M = circle_variation_matrix(a, kap, lam)
         ell = constraint_vector(circle)
         probes = np.random.default_rng(probe_seed).standard_normal((N_PROBES, ell.size))
         return float(np.max(_quadratic_forms(_onto_kernel(probes, ell), M)))

@@ -1,5 +1,6 @@
 """The experiment scripts and the README quickstart run end to end at tiny sizes."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,8 @@ def test_certify_grid_reports_a_failed_scan():
     assert result.returncode == 1, result.stderr
     assert "FAIL" in result.stdout
     assert "minD=n/a" in result.stdout
+    # one failure per volume form, under the footer's wall time and mean per certificate
+    assert re.fullmatch(r"# \d+\.\ds, \d+\.\d\d ms per certificate, 4 failures", result.stdout.splitlines()[-1])
     assert "Traceback" not in result.stderr
 
 

@@ -330,6 +330,12 @@ def test_jacobi_rotation_invariant_entries(circle_half, system_half):
     assert abs(Jq.K) == pytest.approx(abs(J3q.K), abs=1e-6)
 
 
+def test_jacobi_coeffs_are_plain_floats(circle_half, system_half):
+    J = jacobi_coeffs(circle_half, *system_half)
+    assert [type(getattr(J, f.name)) for f in dataclasses.fields(J)] == [float] * 4
+    assert "np.float64" not in repr(J)
+
+
 def test_jacobi_chart_singularity(circle_half, system_half):
     with pytest.raises(VerificationError, match="x1-chart is degenerate"):
         jacobi_coeffs(circle_half, *system_half, math.pi / 2.0)
@@ -555,10 +561,11 @@ def two_omega_quadrature(H, v, n):
 
 
 def variation_system(a=0.5, b=0.3, n=1024):
-    """(blocks, M, ell) of the circle of radius a, as the certificate assembles them."""
+    """(blocks, M, ell) of the circle of radius a: its Hessian blocks, and M and ell as the certificate forms them."""
     cfg = RandersConfig(b)
-    blocks = variational.hessian_blocks(a, cfg.kappa, lambda_for_circle(a, cfg), np.linspace(0.0, TWO_PI, n + 1))
-    return blocks, second_variation_matrix(blocks), constraint_vector(Circle(a))
+    kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
+    blocks = variational.hessian_blocks(a, kap, lam, np.linspace(0.0, TWO_PI, n + 1))
+    return blocks, variational.circle_variation_matrix(a, kap, lam), constraint_vector(Circle(a))
 
 
 def test_second_variation_zero_probe():
@@ -584,16 +591,45 @@ def test_window_basis_matches_the_harmonic_loop(rng):
 
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 def test_second_variation_matrix_matches_explicit_quadrature(a, rng):
+    # the certificate's cached combination and the generic assembler alike
     n = 1024
-    H, M, ell = variation_system(a, 0.3, n)
-    assert M.shape == (N_COEFFS, N_COEFFS)
+    H, cached, ell = variation_system(a, 0.3, n)
+    for M in (cached, second_variation_matrix(H)):
+        assert M.shape == (N_COEFFS, N_COEFFS)
+        assert np.array_equal(M, M.T)
+        for _ in range(20):
+            v = rng.standard_normal(N_COEFFS)
+            assert v @ M @ v == pytest.approx(two_omega_quadrature(H, v, n), rel=1e-12)
+            projected = variational._onto_kernel(v, ell)
+            assert variational._quadratic_forms(projected, M) == pytest.approx(
+                two_omega_quadrature(H, projected, n), rel=1e-12)
+
+
+# the gate points, and the rim and the near-unit drift where 1 - a^2 and kap a + lam are small
+VARIATION_POINTS = GATE_POINTS + [
+    (a, b, form) for a in (0.99, 0.99999) for b in (0.0, 0.999999) for form in VolumeForm
+] + [(a, 0.999999, form) for a in (0.2, 0.5, 0.8) for form in VolumeForm]
+
+
+@pytest.mark.parametrize("a, b, form", VARIATION_POINTS)
+def test_cached_variation_matrix_equals_the_generic_assembly(a, b, form):
+    # measured <= 6.5e-16 of max |M|
+    cfg = RandersConfig(b, form)
+    kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
+    M = variational.circle_variation_matrix(a, kap, lam)
+    generic = second_variation_matrix(variational.hessian_blocks(a, kap, lam, variational._variation_basis()[0]))
     assert np.array_equal(M, M.T)
-    for _ in range(20):
-        v = rng.standard_normal(N_COEFFS)
-        assert v @ M @ v == pytest.approx(two_omega_quadrature(H, v, n), rel=1e-12)
-        projected = variational._onto_kernel(v, ell)
-        assert variational._quadratic_forms(projected, M) == pytest.approx(
-            two_omega_quadrature(H, projected, n), rel=1e-12)
+    assert np.max(np.abs(M - generic)) <= 1e-14 * np.max(np.abs(generic))
+
+
+@pytest.mark.parametrize("a", sorted({a for a, _, _ in VARIATION_POINTS}))
+def test_constraint_vector_equals_the_direct_quadrature(a):
+    # the direct form rounds 1 - |x|^2 at every node: measured <= 1.6 eps/(1 - a^2) of max |ell|
+    ts, w, B, dB = variational._variation_basis()
+    gx, gv = variational._g_gradients(*Circle(a).batch(ts))
+    direct = np.concatenate([B @ (w * gx[:, c]) + dB @ (w * gv[:, c]) for c in range(2)])
+    tol = 8.0 * np.finfo(float).eps / (1.0 - a * a)
+    assert np.max(np.abs(constraint_vector(Circle(a)) - direct)) <= tol * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -607,9 +643,8 @@ def test_certificate_maximum_equals_per_probe_calls(cfg_bh, seed):
 
 
 def test_certificate_fails_on_a_planted_positive_mode(cfg_bh, monkeypatch):
-    # identity blocks make J'' the L2 norm of (y, ydot), positive on every probe
-    monkeypatch.setattr(variational, "hessian_blocks", lambda a, kap, lam, ts: np.broadcast_to(
-        np.eye(4)[:, :, None], (4, 4, len(ts))))
+    # E = 1 alone makes J'' the integral of (e_r . ydot)^2, positive on every probe
+    monkeypatch.setattr(variational, "_hessian_coefficients", lambda a, kap, lam: (0.0, 0.0, 0.0, 1.0))
     cert = build_certificate(0.5, cfg_bh)
     assert cert.second_variation_max > 0.0
     assert not cert.passed
@@ -658,11 +693,39 @@ def test_window_derivative_consistency():
 
 
 def test_variation_basis_is_shared_and_read_only():
-    basis = variational._variation_basis()
-    assert variational._variation_basis() is basis
-    for array in basis:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
+    # the window basis and the basis forms of M and ell built on it
+    for cached in (variational._variation_basis, variational._variation_forms):
+        arrays = cached()
+        assert cached() is arrays
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+def test_warm_certificate_assembles_no_second_variation(cfg_bh, monkeypatch):
+    # after one certificate the basis forms are cached: M and ell cost no quadrature
+    build_certificate(0.5, cfg_bh)
+    calls = {"second_variation_matrix": 0, "hessian_blocks": 0, "basis-node batch": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("second_variation_matrix", "hessian_blocks"):
+        monkeypatch.setattr(variational, name, counted(name, getattr(variational, name)))
+    real_batch = Circle.batch
+
+    def batch(self, t):
+        if np.size(t) == variational.VARIATION_PANELS + 1:
+            calls["basis-node batch"] += 1
+        return real_batch(self, t)
+
+    monkeypatch.setattr(Circle, "batch", batch)
+    assert build_certificate(0.5, cfg_bh).passed
+    assert calls == {"second_variation_matrix": 0, "hessian_blocks": 0, "basis-node batch": 0}
+    assert variational._variation_forms.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3])
@@ -798,10 +861,10 @@ def test_certificate_zero_multiplier_fails_without_warnings(cfg_bh):
 
 def test_certificate_propagates_programming_errors(cfg_bh, monkeypatch):
     def broken(*args, **kwargs):
-        raise TypeError("bug in hessian_blocks")
+        raise TypeError("bug in _hessian_coefficients")
 
-    monkeypatch.setattr(variational, "hessian_blocks", broken)
-    with pytest.raises(TypeError, match="bug in hessian_blocks"):
+    monkeypatch.setattr(variational, "_hessian_coefficients", broken)
+    with pytest.raises(TypeError, match="bug in _hessian_coefficients"):
         build_certificate(0.5, cfg_bh)
 
 
