@@ -84,22 +84,23 @@ def main() -> int:
     ))
 
     print("\n== Hessian of h on the circle, in the frame e_r, e_t ==")
+    print("(A, N, C, E as returned by variational._hessian_coefficients)")
     a_pos = sp.Symbol("a", positive=True)   # |v| = a on the circle needs a > 0
     Hc = sp.hessian(h, (x1, x2, v1, v2)).subs(circ).subs(a, a_pos)
     er = sp.Matrix([sp.cos(t), sp.sin(t)])
     et = sp.Matrix([-sp.sin(t), sp.cos(t)])
     s_c = 1 - a_pos**2
-    N_c = 2 * kap * a_pos**2 + 2 * lam * a_pos
+    n_c = 2 * kap * a_pos**2 + 2 * lam * a_pos   # the numerator of h = n/s
     frame = {
-        "c_rr": 8 * a_pos**2 * (kap + N_c / s_c) / s_c**2,   # e_r e_r^T in h_xx
-        "c_N": 2 * N_c / s_c**2,                             # I in h_xx, e_r e_t^T in h_xv
-        "c_rot": 2 * kap / s_c,                              # [[0, 1], [-1, 0]] in h_xv
-        "c_vv": 2 * lam / (a_pos * s_c),                     # e_r e_r^T in h_vv
+        "A": 8 * a_pos**2 * (kap + n_c / s_c) / s_c**2,   # e_r e_r^T in h_xx
+        "N": 2 * n_c / s_c**2,                            # I in h_xx, e_r e_t^T in h_xv
+        "C": 2 * kap / s_c,                               # [[0, 1], [-1, 0]] in h_xv
+        "E": 2 * lam / (a_pos * s_c),                     # e_r e_r^T in h_vv
     }
-    h_xv = frame["c_rot"] * sp.Matrix([[0, 1], [-1, 0]]) + frame["c_N"] * er * et.T
+    h_xv = frame["C"] * sp.Matrix([[0, 1], [-1, 0]]) + frame["N"] * er * et.T
     closed = sp.BlockMatrix([
-        [frame["c_rr"] * er * er.T + frame["c_N"] * sp.eye(2), h_xv],
-        [h_xv.T, frame["c_vv"] * er * er.T],
+        [frame["A"] * er * er.T + frame["N"] * sp.eye(2), h_xv],
+        [h_xv.T, frame["E"] * er * er.T],
     ]).as_explicit()
     residual = (Hc - closed).applyfunc(lambda e: sp.cancel(sp.trigsimp(e)))
     print("H - circle form simplifies to:", residual)  # the zero matrix

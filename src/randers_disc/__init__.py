@@ -23,7 +23,6 @@ from .variational import (
     constraint_vector,
     el_residual,
     h1_along,
-    hessian_blocks,
     hessian_velocity_closed,
     hessian_velocity_form,
     jacobi_coeffs,
@@ -60,7 +59,6 @@ __all__ = [
     "finsler_norm",
     "fundamental_tensor",
     "h1_along",
-    "hessian_blocks",
     "hessian_velocity_closed",
     "hessian_velocity_form",
     "jacobi_coeffs",

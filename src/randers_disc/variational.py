@@ -407,18 +407,36 @@ def _variation_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 def _variation_forms() -> tuple[np.ndarray, np.ndarray]:
     """(Ms, ells): the basis forms of M and ell on the window basis, built once and read-only.
 
-    Ms, shape (4, 26, 26), holds M_A, M_N, M_C, M_E, the matrices
-    second_variation_matrix assembles from each of the four Hessian patterns,
-    so M = A M_A + N M_N + C M_C + E M_E for the coefficients of
-    _hessian_coefficients.  ells, shape (2, 26), holds ell_r and ell_t, the
+    With e_r = (cos t, sin t) and e_t = (-sin t, cos t), the Hessian of h on
+    the circle (_hessian_coefficients) turns J'' into
+        int A (e_r.y)^2 + N (|y|^2 + 2 (e_r.y)(e_t.ydot))
+            + 2 C (y1 ydot2 - y2 ydot1) + E (e_r.ydot)^2 dt,
+    so M = A M_A + N M_N + C M_C + E M_E.  Ms, shape (4, 26, 26), holds these
+    four trapezoid Gram matrices of the basis fields, each symmetrised and so
+    exactly symmetric.  ells, shape (2, 26), holds ell_r and ell_t, the
     integrals of e_r . y and e_t . ydot: on the circle g_x = (4 a^2/s^2) e_r
     and g_v = (2/s) e_t, with s = 1 - a^2.
     """
     ts, w, B, dB = _variation_basis()
-    Ms = np.stack([second_variation_matrix(pattern) for pattern in _hessian_patterns(ts)])
-    er = np.stack([np.cos(ts), np.sin(ts)])
-    et = np.stack([-er[1], er[0]])
-    ells = np.stack([np.concatenate([F @ (w * e[c]) for c in range(2)]) for F, e in ((B, er), (dB, et))])
+    cos, sin = np.cos(ts), np.sin(ts)
+    # e_r . y, e_r . ydot and e_t . ydot of the 26 basis fields, component 1 then 2
+    r_y = np.concatenate([cos * B, sin * B])
+    r_yd = np.concatenate([cos * dB, sin * dB])
+    t_yd = np.concatenate([-sin * dB, cos * dB])
+
+    def gram(X, Y):
+        return (X * w) @ Y.T
+
+    G, S = gram(B, B), gram(B, dB)
+    Z = np.zeros_like(G)
+    Ms = np.stack([
+        gram(r_y, r_y),
+        np.block([[G, Z], [Z, G]]) + 2.0 * gram(r_y, t_yd),
+        2.0 * np.block([[Z, S], [-S, Z]]),
+        gram(r_yd, r_yd),
+    ])
+    Ms = 0.5 * (Ms + Ms.transpose(0, 2, 1))
+    ells = np.stack([r_y @ w, t_yd @ w])
     for array in (Ms, ells):
         array.flags.writeable = False
     return Ms, ells
@@ -435,8 +453,7 @@ def constraint_vector(circle: Circle) -> np.ndarray:
 def circle_variation_matrix(a: float, kap: float, lam: float) -> np.ndarray:
     """Symmetric M with J''(v) = v . M v on the circle of radius a, from the cached basis forms.
 
-    Equal, up to rounding, to second_variation_matrix of hessian_blocks on the
-    basis nodes; each term is exactly symmetric, so M is too.
+    Each term is exactly symmetric, so M is too.
     """
     A, N, C, E = _hessian_coefficients(a, kap, lam)
     M_A, M_N, M_C, M_E = _variation_forms()[0]
@@ -452,82 +469,24 @@ def _onto_kernel(vecs: np.ndarray, ell: np.ndarray) -> np.ndarray:
 
 
 def _hessian_coefficients(a: float, kap: float, lam: float) -> tuple[float, float, float, float]:
-    """(A, N, C, E), the four scalars of the Hessian of h on the circle (see hessian_blocks).
+    """(A, N, C, E), the four scalars of the Hessian of h on the circle, in closed form.
 
-    With s = 1 - a^2 and n_s = 2 a (kap a + lam)/s (N/s on the circle):
-    A = (8 a^2/s^2)(kap + n_s), N = 2 n_s/s, C = 2 kap/s, E = 2 lam/(a s).
+    Argument order (x1, x2, v1, v2).  With h = n/s, n = 2 kap (x1 v2 - x2 v1)
+    + 2 lam |v| and s = 1 - |x|^2, the quotient rule at x = a e_r, v = a e_t,
+    e_r = (cos t, sin t), e_t = (-sin t, cos t), gives
+        h_xx = A e_r e_r^T + N I,
+        h_xv = C [[0, 1], [-1, 0]] + N e_r e_t^T = h_vx^T,
+        h_vv = E e_r e_r^T,
+    where, with n_s = n/s = 2 a (kap a + lam)/s on the circle,
+        A = (8 a^2/s^2)(kap + n_s), N = 2 n_s/s, C = 2 kap/s, E = 2 lam/(a s).
+    At the extremal multiplier kap a + lam and kap + n_s both cancel, so the
+    Hessian is accurate to about eps/(1 - a^2)^2 of max |H|: the conditioning
+    of h itself, which any evaluation of it inherits.
     """
     require_radius(a)
     s = 1.0 - a * a
     n_s = 2.0 * a * (kap * a + lam) / s
     return (8.0 * a * a / (s * s)) * (kap + n_s), 2.0 * n_s / s, 2.0 * kap / s, 2.0 * lam / (a * s)
-
-
-def _hessian_patterns(ts: np.ndarray) -> np.ndarray:
-    """The four (4, 4, len(ts)) patterns whose combination by (A, N, C, E) is the Hessian.
-
-    With e_r = (cos t, sin t) and e_t = (-sin t, cos t): A e_r e_r^T in h_xx;
-    N I in h_xx and e_r e_t^T in h_xv; C [[0, 1], [-1, 0]] in h_xv; E e_r e_r^T
-    in h_vv; h_vx is the transpose of h_xv.
-    """
-    er = np.stack([np.cos(ts), np.sin(ts)])
-    rr = er[:, None] * er[None, :]
-    rt = er[:, None] * np.stack([-er[1], er[0]])[None, :]
-    P = np.zeros((4, 4, 4, len(ts)))
-    A, N, C, E = P
-    A[:2, :2] = rr
-    N[:2, :2] = np.eye(2)[:, :, None]
-    N[:2, 2:] = rt
-    C[:2, 2:] = np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]
-    E[2:, 2:] = rr
-    P[:, 2:, :2] = P[:, :2, 2:].transpose(0, 2, 1, 3)
-    return P
-
-
-def hessian_blocks(a: float, kap: float, lam: float, ts: np.ndarray) -> np.ndarray:
-    """All second partials of h along the circle, shape (4, 4, len(ts)), in closed form.
-
-    Argument order (x1, x2, v1, v2).  With h = N/s, N = 2 kap (x1 v2 - x2 v1)
-    + 2 lam |v| and s = 1 - |x|^2, the quotient rule at x = a e_r, v = a e_t,
-    e_r = (cos t, sin t), e_t = (-sin t, cos t), gives
-        h_xx = (8 a^2/s^2)(kap + N/s) e_r e_r^T + (2 N/s^2) I,
-        h_xv = (2 kap/s) [[0, 1], [-1, 0]] + (2 N/s^2) e_r e_t^T = h_vx^T,
-        h_vv = (2 lam/(a s)) e_r e_r^T,
-    the combination of _hessian_patterns by _hessian_coefficients.
-    At the extremal multiplier kap a + lam and kap + N/s both cancel, so the
-    blocks are accurate to about eps/(1 - a^2)^2 of max |H|: the conditioning
-    of h itself, which any evaluation of it inherits.
-    """
-    return np.tensordot(_hessian_coefficients(a, kap, lam), _hessian_patterns(ts), 1)
-
-
-def second_variation_matrix(blocks: np.ndarray) -> np.ndarray:
-    """Symmetric M with J''(v) = v . M v, from the (4, 4, VARIATION_PANELS + 1) blocks on the basis nodes.
-
-    Component c of a basis field fills position slot c with the window basis
-    and velocity slot 2 + c with its derivative, so the (c, d) block of M is
-    the trapezoid sum of F_i (w H_ij) F_j over i in {c, 2+c}, j in {d, 2+d}.
-    H is symmetric, so the (1, 0) block is the transpose of the (0, 1) block,
-    and in a diagonal block the (2+c, c) term is the transpose of the (c, 2+c)
-    term: the latter is taken twice and the last step, which symmetrises,
-    splits it.  An entry of H that vanishes on every node is skipped.
-    This is the generic assembler; _variation_forms builds the certificate's
-    basis forms with it, once.
-    """
-    _, w, B, dB = _variation_basis()
-    F = (B, B, dB, dB)
-    m = len(B)
-    nonzero = blocks.any(axis=-1)
-    M = np.zeros((2 * m, 2 * m))
-    for c, d in ((0, 0), (0, 1), (1, 1)):
-        for i in (c, 2 + c):
-            for j in (d, 2 + d):
-                if c == d and i > j or not nonzero[i, j]:
-                    continue
-                weight = (2.0 if c == d and i < j else 1.0) * w * blocks[i, j]
-                M[c * m:(c + 1) * m, d * m:(d + 1) * m] += (F[i] * weight) @ F[j].T
-    M[m:, :m] = M[:m, m:].T
-    return 0.5 * (M + M.T)
 
 
 def _quadratic_forms(vecs: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -20,10 +20,10 @@ ORACLES = {
     "D(pi/2)": "D_half_pi",
     "D(pi)": "D_pi",
     "D(3*pi/2)": "D_three_half_pi",
-    "c_rr": "blocks_rr",
-    "c_N": "blocks_N",
-    "c_rot": "blocks_rot",
-    "c_vv": "blocks_vv",
+    "A": "A",
+    "N": "N",
+    "C": "C",
+    "E": "E",
 }
 
 

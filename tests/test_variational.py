@@ -31,7 +31,7 @@ from randers_disc import (
 )
 from randers_disc import fd, variational
 from randers_disc.curves import TWO_PI
-from randers_disc.variational import determinant_curve, lagrangian, second_variation_matrix
+from randers_disc.variational import determinant_curve, lagrangian
 from tests.conftest import GRID
 
 # the benchmark gate's certificate points: the acceptance grid and one rim circle
@@ -49,11 +49,12 @@ FROZEN = {
     "D_half_pi": 2.289009475408,
     "D_pi": 21.332617759909,
     "D_three_half_pi": 35.798207093593,
-    # hessian_blocks in the circle frame e_r, e_t (scripts/symbolic_oracles.py)
-    "blocks_rr": 1.8519139696840972,
-    "blocks_N": -0.92595698484204858,
-    "blocks_rot": 2.3148924621051214,
-    "blocks_vv": -3.7038279393681943,
+    # the Hessian of h in the circle frame e_r, e_t: the (A, N, C, E) of
+    # _hessian_coefficients (scripts/symbolic_oracles.py)
+    "A": 1.8519139696840972,
+    "N": -0.92595698484204858,
+    "C": 2.3148924621051214,
+    "E": -3.7038279393681943,
 }
 
 
@@ -560,11 +561,30 @@ def two_omega_quadrature(H, v, n):
     return float(np.sum(w * two_omega))
 
 
+def circle_hessian(a, kap, lam, ts):
+    """All second partials of h along the circle, shape (4, 4, len(ts)), in closed form.
+
+    Argument order (x1, x2, v1, v2); the blocks are those of
+    _hessian_coefficients' docstring, in the frame e_r = (cos t, sin t),
+    e_t = (-sin t, cos t).
+    """
+    A, N, C, E = variational._hessian_coefficients(a, kap, lam)
+    er = np.stack([np.cos(ts), np.sin(ts)])
+    et = np.stack([-er[1], er[0]])
+    rr = er[:, None] * er[None, :]
+    H = np.empty((4, 4, len(ts)))
+    H[:2, :2] = A * rr + N * np.eye(2)[:, :, None]
+    H[:2, 2:] = C * np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None] + N * er[:, None] * et[None, :]
+    H[2:, :2] = H[:2, 2:].transpose(1, 0, 2)
+    H[2:, 2:] = E * rr
+    return H
+
+
 def variation_system(a=0.5, b=0.3, n=1024):
     """(blocks, M, ell) of the circle of radius a: its Hessian blocks, and M and ell as the certificate forms them."""
     cfg = RandersConfig(b)
     kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
-    blocks = variational.hessian_blocks(a, kap, lam, np.linspace(0.0, TWO_PI, n + 1))
+    blocks = circle_hessian(a, kap, lam, np.linspace(0.0, TWO_PI, n + 1))
     return blocks, variational.circle_variation_matrix(a, kap, lam), constraint_vector(Circle(a))
 
 
@@ -591,18 +611,17 @@ def test_window_basis_matches_the_harmonic_loop(rng):
 
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 def test_second_variation_matrix_matches_explicit_quadrature(a, rng):
-    # the certificate's cached combination and the generic assembler alike
+    # the certificate's cached combination against the trapezoid sum of 2*omega
     n = 1024
-    H, cached, ell = variation_system(a, 0.3, n)
-    for M in (cached, second_variation_matrix(H)):
-        assert M.shape == (N_COEFFS, N_COEFFS)
-        assert np.array_equal(M, M.T)
-        for _ in range(20):
-            v = rng.standard_normal(N_COEFFS)
-            assert v @ M @ v == pytest.approx(two_omega_quadrature(H, v, n), rel=1e-12)
-            projected = variational._onto_kernel(v, ell)
-            assert variational._quadratic_forms(projected, M) == pytest.approx(
-                two_omega_quadrature(H, projected, n), rel=1e-12)
+    H, M, ell = variation_system(a, 0.3, n)
+    assert M.shape == (N_COEFFS, N_COEFFS)
+    assert np.array_equal(M, M.T)
+    for _ in range(20):
+        v = rng.standard_normal(N_COEFFS)
+        assert v @ M @ v == pytest.approx(two_omega_quadrature(H, v, n), rel=1e-12)
+        projected = variational._onto_kernel(v, ell)
+        assert variational._quadratic_forms(projected, M) == pytest.approx(
+            two_omega_quadrature(H, projected, n), rel=1e-12)
 
 
 # the gate points, and the rim and the near-unit drift where 1 - a^2 and kap a + lam are small
@@ -613,11 +632,19 @@ VARIATION_POINTS = GATE_POINTS + [
 
 @pytest.mark.parametrize("a, b, form", VARIATION_POINTS)
 def test_cached_variation_matrix_equals_the_generic_assembly(a, b, form):
-    # measured <= 6.5e-16 of max |M|
+    # the generic assembly: each basis field fills position slot c with the
+    # window basis and velocity slot 2 + c with its derivative, and M is the
+    # trapezoid sum of slot fields against w H; measured <= 1.5e-15 of max |M|
     cfg = RandersConfig(b, form)
     kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
     M = variational.circle_variation_matrix(a, kap, lam)
-    generic = second_variation_matrix(variational.hessian_blocks(a, kap, lam, variational._variation_basis()[0]))
+    ts, w, B, dB = variational._variation_basis()
+    zero = np.zeros_like(B)
+    slots = np.stack([
+        np.concatenate([B, zero]), np.concatenate([zero, B]),
+        np.concatenate([dB, zero]), np.concatenate([zero, dB]),
+    ])
+    generic = np.einsum("iak,ijk,jbk->ab", slots, w * circle_hessian(a, kap, lam, ts), slots, optimize=True)
     assert np.array_equal(M, M.T)
     assert np.max(np.abs(M - generic)) <= 1e-14 * np.max(np.abs(generic))
 
@@ -705,26 +732,18 @@ def test_variation_basis_is_shared_and_read_only():
 def test_warm_certificate_assembles_no_second_variation(cfg_bh, monkeypatch):
     # after one certificate the basis forms are cached: M and ell cost no quadrature
     build_certificate(0.5, cfg_bh)
-    calls = {"second_variation_matrix": 0, "hessian_blocks": 0, "basis-node batch": 0}
-
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("second_variation_matrix", "hessian_blocks"):
-        monkeypatch.setattr(variational, name, counted(name, getattr(variational, name)))
+    batches = 0
     real_batch = Circle.batch
 
     def batch(self, t):
+        nonlocal batches
         if np.size(t) == variational.VARIATION_PANELS + 1:
-            calls["basis-node batch"] += 1
+            batches += 1
         return real_batch(self, t)
 
     monkeypatch.setattr(Circle, "batch", batch)
     assert build_certificate(0.5, cfg_bh).passed
-    assert calls == {"second_variation_matrix": 0, "hessian_blocks": 0, "basis-node batch": 0}
+    assert batches == 0
     assert variational._variation_forms.cache_info().misses == 1
 
 
@@ -733,7 +752,7 @@ def test_rim_hessian_blocks_finite_and_second_variation_negative(b):
     # 1 - a^2 = 2e-5: the blocks grow like 1/(1 - a^2)^3 and must stay finite
     a = 0.99999
     cfg = RandersConfig(b)
-    blocks = variational.hessian_blocks(a, cfg.kappa, lambda_for_circle(a, cfg), np.linspace(0.0, TWO_PI, 1025))
+    blocks = circle_hessian(a, cfg.kappa, lambda_for_circle(a, cfg), np.linspace(0.0, TWO_PI, 1025))
     assert np.all(np.isfinite(blocks))
     assert build_certificate(a, cfg).second_variation_max < 0.0
 
@@ -779,7 +798,7 @@ def test_hessian_blocks_agree_with_the_stencil(a, b, form):
     cfg = RandersConfig(b, form)
     kap, lam = cfg.kappa, lambda_for_circle(a, cfg)
     ts = variational._variation_basis()[0]
-    H = variational.hessian_blocks(a, kap, lam, ts)
+    H = circle_hessian(a, kap, lam, ts)
     assert np.max(np.abs(H - stencil_hessian_blocks(a, kap, lam, ts))) <= 1e-5 * np.max(np.abs(H))
 
 
@@ -797,25 +816,15 @@ def test_hessian_blocks_agree_with_the_symbolic_hessian(a, b, form):
         for n, t in enumerate(ts):
             c, s = a * mpmath.cos(t), a * mpmath.sin(t)
             exact[:, :, n] = np.array(hessian(c, s, -s, c, kap, lam).tolist(), dtype=float)
-    H = variational.hessian_blocks(a, kap, lam, ts)
+    H = circle_hessian(a, kap, lam, ts)
     tol = 8.0 * np.finfo(float).eps / (1.0 - a * a) ** 2
     assert np.max(np.abs(H - exact)) <= tol * np.max(np.abs(exact))
 
 
-def test_hessian_blocks_match_the_frozen_circle_frame():
+def test_hessian_coefficients_match_the_frozen_circle_frame():
     lam, cfg = lam_of(0.5, 0.3)
-    ts = variational._variation_basis()[0]
-    er = np.stack([np.cos(ts), np.sin(ts)])
-    et = np.stack([-er[1], er[0]])
-    rr, rt = er[:, None] * er[None, :], er[:, None] * et[None, :]
-    eye, rot = np.eye(2)[:, :, None], np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]
-    want = np.empty((4, 4, len(ts)))
-    want[:2, :2] = FROZEN["blocks_rr"] * rr + FROZEN["blocks_N"] * eye
-    want[:2, 2:] = FROZEN["blocks_rot"] * rot + FROZEN["blocks_N"] * rt
-    want[2:, :2] = want[:2, 2:].transpose(1, 0, 2)
-    want[2:, 2:] = FROZEN["blocks_vv"] * rr
-    H = variational.hessian_blocks(0.5, cfg.kappa, lam, ts)
-    assert np.allclose(H, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
+    got = variational._hessian_coefficients(0.5, cfg.kappa, lam)
+    assert got == pytest.approx([FROZEN[k] for k in ("A", "N", "C", "E")], rel=1e-14)
 
 
 # -- certificate --------------------------------------------------------------
@@ -848,6 +857,22 @@ def test_certificate_fails_with_overridden_multiplier(cfg_bh):
     assert cert.weierstrass_max > 0.0  # the excess is odd in lambda
     assert any("overridden" in n for n in cert.notes)
     assert any("condition failed" in n for n in cert.notes)
+    # h1 = 2 lam/(a (1 - a^2)) > 0 here; its sign is noted, not a condition
+    assert cert.h1 > 0.0
+    assert f"h1 = {cert.h1} is not negative (corroboration only)" in cert.notes
+
+
+@pytest.mark.parametrize("name, condition", [
+    ("weierstrass_E", "weierstrass"),
+    ("hessian_velocity_form", "hessian_form"),
+])
+def test_certificate_fails_on_an_exact_zero_sample(cfg_bh, monkeypatch, name, condition):
+    # both checks ask for strict negativity: a maximum of exactly 0 fails
+    real = getattr(variational, name)
+    monkeypatch.setattr(variational, name, lambda *args, **kwargs: np.zeros_like(real(*args, **kwargs)))
+    cert = build_certificate(0.5, cfg_bh)
+    assert not cert.passed
+    assert [n for n in cert.notes if n.startswith("condition failed")] == [f"condition failed: {condition}"]
 
 
 def test_certificate_zero_multiplier_fails_without_warnings(cfg_bh):
